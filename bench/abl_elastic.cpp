@@ -54,7 +54,7 @@
 #include "bench_common.hpp"
 #include "core/runtime.hpp"
 #include "core/session.hpp"
-#include "support/tracefile.hpp"
+#include "trace/journal.hpp"
 #include "util/stats.hpp"
 #include "workloads/harness.hpp"
 
@@ -156,7 +156,7 @@ mode_result run_mode(const mode_spec& m) {
   cfg.topo_hysteresis = 3;
 
   const std::uint64_t n_total = storm_total + lull_total;
-  std::vector<support::trace_request> trace(n_total);
+  std::vector<trace::trace_request> trace(n_total);
   std::vector<core::ticket> tickets(n_total);
   std::vector<word> mem(keys_per_client * n_clients + lull_keys, 0);
   word* mp = mem.data();
@@ -205,7 +205,7 @@ mode_result run_mode(const mode_spec& m) {
             const std::uint64_t key =
                 c * keys_per_client + (base + i) % keys_per_client;
             word* cell = &mp[key];
-            trace[rid] = support::trace_request{rid, key, 0, 1, 1, false};
+            trace[rid] = trace::trace_request{rid, key, 0, 1, 1, false};
             tickets[rid] = s.submit_keyed(key, {[cell](core::task_ctx& t) {
               t.write(cell, t.read(cell) + 1);
             }});
@@ -242,7 +242,7 @@ mode_result run_mode(const mode_spec& m) {
         const std::uint64_t key =
             keys_per_client * n_clients + (round * lull_burst + j) % lull_keys;
         word* cell = &mp[key];
-        trace[rid] = support::trace_request{rid, key, 0, 1, 1, false};
+        trace[rid] = trace::trace_request{rid, key, 0, 1, 1, false};
         tickets[rid] = s.submit_keyed(key, {[cell](core::task_ctx& t) {
           t.write(cell, t.read(cell) + 1);
         }});
@@ -260,7 +260,7 @@ mode_result run_mode(const mode_spec& m) {
   }
 
   // --- offline check ------------------------------------------------------
-  support::journal_dump dump;
+  trace::journal_dump dump;
   dump.pipelines = n_pipes;
   dump.topology = s.topology_history();
   out.resizes = dump.topology.size() - 1;
@@ -274,11 +274,11 @@ mode_result run_mode(const mode_spec& m) {
   }
   dump.requests.reserve(n_total);
   for (std::uint64_t r = 0; r < n_total; ++r) {
-    dump.requests.push_back(support::request_placement{
+    dump.requests.push_back(trace::request_placement{
         r, trace[r].key, tickets[r].pipeline(), tickets[r].commit_serial(),
         trace[r].tasks, tickets[r].route_epoch()});
   }
-  const support::check_result res = support::check_journal(trace, dump);
+  const trace::check_result res = trace::check_journal(trace, dump);
   out.checker_ok = res.ok;
   out.checker_diag = res.diagnostic;
 

@@ -1,4 +1,4 @@
-// Soak harness for bounded-memory server mode (ISSUE 10, DESIGN.md §12).
+// Soak harness for bounded-memory server mode (DESIGN.md §12).
 //
 // A multi-minute keyed session storm over an elastically resized topology,
 // with every unbounded memory curve closed off:
@@ -18,7 +18,7 @@
 // through {4, 2, 3, 1} (manual topology control — deterministic, unlike
 // the load controller), shrinks run a trim pass like the controller tick
 // would, and every few rounds the retained journal plus the request window
-// is dumped and validated in-process by support::check_journal (truncation
+// is dumped and validated in-process by trace::check_journal (truncation
 // frontiers included). RSS is sampled from /proc/self/statm each round.
 //
 // Acceptance (full run, --duration >= 120 s):
@@ -45,7 +45,7 @@
 #include "core/runtime.hpp"
 #include "core/session.hpp"
 #include "json_recorder.hpp"
-#include "support/tracefile.hpp"
+#include "trace/journal.hpp"
 #include "util/stats.hpp"
 
 using namespace tlstm;
@@ -133,10 +133,10 @@ struct dump_result {
 
 /// Snapshots the retained journals + frontiers, forgets the window's pruned
 /// prefix, and validates the (windowed trace, truncated dump) pair with the
-/// same offline checker the trace tests and scripts/check_journal.py use.
+/// same offline checker the trace tests and the check_journal tool use.
 dump_result dump_and_check(core::runtime& rt, core::session& s,
                            std::deque<hist_entry>& hist) {
-  support::journal_dump d;
+  trace::journal_dump d;
   d.pipelines = n_pipes;
   d.topology = s.topology_history();
   d.journals.resize(n_pipes);
@@ -154,16 +154,16 @@ dump_result dump_and_check(core::runtime& rt, core::session& s,
          hist.front().serial < d.first_serial[hist.front().pipe]) {
     hist.pop_front();
   }
-  std::vector<support::trace_request> trace;
+  std::vector<trace::trace_request> trace;
   trace.reserve(hist.size());
   d.requests.reserve(hist.size());
   for (const hist_entry& h : hist) {
     const std::uint64_t id = trace.size();
-    trace.push_back(support::trace_request{id, h.key, 0, h.tasks, 1, false});
+    trace.push_back(trace::trace_request{id, h.key, 0, h.tasks, 1, false});
     d.requests.push_back(
-        support::request_placement{id, h.key, h.pipe, h.serial, h.tasks, h.epoch});
+        trace::request_placement{id, h.key, h.pipe, h.serial, h.tasks, h.epoch});
   }
-  const support::check_result res = support::check_journal(trace, d);
+  const trace::check_result res = trace::check_journal(trace, d);
   dump_result out;
   out.ok = res.ok;
   out.diag = res.diagnostic;

@@ -1,4 +1,4 @@
-// Ablation A5 — task decomposition across data-structure shapes.
+// Ablation A7 — task decomposition across data-structure shapes.
 //
 // The paper observes that task decomposition pays off only when transactions
 // contain enough splittable work (Fig. 1a) and no cross-task dependencies

@@ -1,4 +1,4 @@
-// Ablation A10 — the sharded stripe gate table and the adaptive wait
+// Ablation A12 — the sharded stripe gate table and the adaptive wait
 // governor (DESIGN.md §8.6).
 //
 // One oversubscribed runtime (4 pipelines, workers >= 8x hardware cores on

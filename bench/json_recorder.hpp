@@ -6,7 +6,7 @@
 // which regenerates the checked-in BENCH_*.json files at the repo root).
 // parse_file() reads the writer's own output back — the round-trip is
 // pinned by tests/harness_test.cpp so the trajectory files stay parseable
-// by downstream tooling (scripts/check_journal.py consumers, diff scripts).
+// by downstream tooling (diff scripts).
 #pragma once
 
 #include <cctype>

@@ -15,8 +15,8 @@
 //   commit→callback  the driver's completion phase (callbacks, wake)
 //
 // After every rate step the per-pipeline commit journals are validated
-// against the trace by the offline checker (tests/support/tracefile.hpp;
-// scripts/check_journal.py is the standalone mirror): every request
+// against the trace by the offline checker (trace/journal.hpp; the
+// check_journal tool runs it on dumped files): every request
 // committed exactly once, serials dense, per-key FIFO intact. A checker
 // failure fails the binary — a latency number from a corrupt history is
 // worse than no number.
@@ -28,7 +28,7 @@
 //   --journal <prefix> write <prefix>.<rate>.journal per rate step
 //                      (generator → replay → checker smoke pipeline in
 //                      bench/run_openloop_check.cmake feeds these to the
-//                      python checker)
+//                      check_journal tool)
 //   --read-frac <f>    fraction [0, 1] of requests drawn read-only and
 //                      replayed via session::submit_read_keyed (default 0;
 //                      the checker knows reads produce no commit record)
@@ -46,7 +46,7 @@
 #include "bench_common.hpp"
 #include "core/runtime.hpp"
 #include "core/session.hpp"
-#include "support/tracefile.hpp"
+#include "trace/journal.hpp"
 
 using namespace tlstm;
 using stm::word;
@@ -93,7 +93,7 @@ struct openloop_result {
   double achieved_per_s = 0;
   std::uint64_t requests = 0;
   std::uint64_t late = 0;  ///< submissions that missed their arrival slot
-  support::check_result check;
+  trace::check_result check;
 };
 
 std::uint64_t now_ns() {
@@ -108,7 +108,7 @@ std::uint64_t now_ns() {
 /// standalone checker consumes.
 openloop_result run_rate(const rate_spec& rs, const std::string& trace_prefix,
                          const std::string& journal_prefix) {
-  support::trace_spec spec;
+  trace::trace_spec spec;
   spec.seed = rs.seed;
   spec.requests = rs.requests;
   spec.keys = n_keys;
@@ -116,10 +116,10 @@ openloop_result run_rate(const rate_spec& rs, const std::string& trace_prefix,
   spec.max_tasks = 2;
   spec.max_ops = 4;
   spec.read_permille = g_read_permille;
-  const std::vector<support::trace_request> trace = support::generate_trace(spec);
+  const std::vector<trace::trace_request> trace = trace::generate_trace(spec);
   if (!trace_prefix.empty()) {
     const std::string path = trace_prefix + "." + rs.name + ".trace";
-    if (!support::write_trace(path, spec, trace)) {
+    if (!trace::write_trace(path, spec, trace)) {
       std::fprintf(stderr, "openloop: cannot write %s\n", path.c_str());
     }
   }
@@ -146,7 +146,7 @@ openloop_result run_rate(const rate_spec& rs, const std::string& trace_prefix,
   // --- replay: one submitting thread, arrivals on the trace schedule.
   const auto t0 = std::chrono::steady_clock::now();
   const std::uint64_t t0_ns = now_ns();
-  for (const support::trace_request& r : trace) {
+  for (const trace::trace_request& r : trace) {
     const auto target = t0 + std::chrono::nanoseconds(r.arrival_ns);
     if (std::chrono::steady_clock::now() < target) {
       std::this_thread::sleep_until(target);
@@ -215,28 +215,28 @@ openloop_result run_rate(const rate_spec& rs, const std::string& trace_prefix,
                        std::max(1e-9, static_cast<double>(last_done_ns - t0_ns) * 1e-9);
 
   // --- journal dump + offline check.
-  support::journal_dump dump;
+  trace::journal_dump dump;
   dump.pipelines = n_pipelines;
   dump.journals.resize(n_pipelines);
   dump.topology = topo_history;
   for (unsigned p = 0; p < n_pipelines; ++p) {
     dump.journals[p] = rt.thread(p).journal_snapshot().records;
   }
-  for (const support::trace_request& r : trace) {
+  for (const trace::trace_request& r : trace) {
     // Authoritative placement from the ticket (DESIGN.md §11), not a
     // recomputed hash%width — the two only coincide under a static
     // topology.
-    dump.requests.push_back(support::request_placement{
+    dump.requests.push_back(trace::request_placement{
         r.id, r.key, tickets[r.id].pipeline(), tickets[r.id].commit_serial(),
         r.tasks, tickets[r.id].route_epoch()});
   }
   if (!journal_prefix.empty()) {
     const std::string path = journal_prefix + "." + rs.name + ".journal";
-    if (!support::write_journal(path, dump)) {
+    if (!trace::write_journal(path, dump)) {
       std::fprintf(stderr, "openloop: cannot write %s\n", path.c_str());
     }
   }
-  out.check = support::check_journal(trace, dump);
+  out.check = trace::check_journal(trace, dump);
   return out;
 }
 

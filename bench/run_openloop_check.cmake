@@ -1,12 +1,12 @@
 # bench_smoke pipeline runner for the open-loop latency harness: executes
 # the generator → replay → checker chain end to end as ONE test. BIN runs
-# its reduced smoke row with --trace/--journal dumps, then PYTHON runs
-# scripts/check_journal.py (the standalone mirror of the in-process C++
-# checker) over the dumped pair — so the file formats, the python parser and
-# the checker itself stay exercised by ctest, not just the C++ twin.
-if(NOT DEFINED BIN OR NOT DEFINED PYTHON OR NOT DEFINED CHECKER OR NOT DEFINED OUTDIR)
+# its reduced smoke row with --trace/--journal dumps, then CHECKER (the
+# standalone check_journal tool) validates the dumped pair — so the file
+# formats and the checker stay exercised across a process boundary, not
+# just in-process.
+if(NOT DEFINED BIN OR NOT DEFINED CHECKER OR NOT DEFINED OUTDIR)
   message(FATAL_ERROR
-          "run_openloop_check.cmake needs -DBIN= -DPYTHON= -DCHECKER= -DOUTDIR=")
+          "run_openloop_check.cmake needs -DBIN= -DCHECKER= -DOUTDIR=")
 endif()
 file(MAKE_DIRECTORY "${OUTDIR}")
 set(prefix "${OUTDIR}/openloop_smoke")
@@ -27,14 +27,14 @@ if(NOT EXISTS "${prefix}.smoke.trace" OR NOT EXISTS "${prefix}.smoke.journal")
   message(FATAL_ERROR "replay did not dump ${prefix}.smoke.{trace,journal}")
 endif()
 execute_process(
-  COMMAND "${PYTHON}" "${CHECKER}" "${prefix}.smoke.trace" "${prefix}.smoke.journal"
+  COMMAND "${CHECKER}" "${prefix}.smoke.trace" "${prefix}.smoke.journal"
   OUTPUT_VARIABLE check_out
   ERROR_VARIABLE check_err
   RESULT_VARIABLE check_rc)
 message("${check_out}")
 if(NOT check_rc EQUAL 0)
-  message(FATAL_ERROR "check_journal.py rejected the dump: ${check_err}")
+  message(FATAL_ERROR "check_journal rejected the dump: ${check_err}")
 endif()
 if(NOT check_out MATCHES "^OK ")
-  message(FATAL_ERROR "check_journal.py did not report OK: ${check_out}")
+  message(FATAL_ERROR "check_journal did not report OK: ${check_out}")
 endif()

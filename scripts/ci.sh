@@ -9,6 +9,8 @@
 #                            # per bench/abl_* and bench/fig* binary)
 #   scripts/ci.sh soak       # reduced-duration bounded-memory soak (label
 #                            # `soak`) + the same smoke under ASan/LSan
+#   scripts/ci.sh repeat     # structure_sweep_test + trace_checker_test,
+#                            # repeated until the first failure, 30 runs
 #
 # The tier-1 full ctest already includes the bench_smoke label, so every
 # bench binary is built AND executed on every CI run — benches cannot rot
@@ -64,6 +66,18 @@ soak() {
   run_ctest build-asan-soak -L soak
 }
 
+repeat() {
+  echo "=== repeat: ordering-sensitive suites, 30 runs each ==="
+  # structure_sweep_test catches a write-free transaction serialized before
+  # its own thread's previous write, which failed only intermittently while
+  # read-only commits skipped validation unconditionally, so one green run
+  # proves little. The multi-thread sweep_test cases and the abl_contention
+  # / abl_waits bench_smoke hangs are not covered by this stage.
+  cmake -B build -S .
+  cmake --build build -j "$JOBS" --target structure_sweep_test trace_checker_test
+  run_ctest build --repeat until-fail:30 -R 'structure_sweep_test|trace_checker_test'
+}
+
 tsan() {
   echo "=== TSan: unit + sched/session labels ==="
   # TSan multiplies the cost of the spin-heavy runtime paths; the short
@@ -83,16 +97,18 @@ case "$STAGE" in
   tsan) tsan ;;
   bench) bench ;;
   soak) soak ;;
+  repeat) repeat ;;
   all)
     tier1  # includes the bench_smoke and soak labels
     asan
     tsan
     soak   # the tier-1 ctest already ran the default-build smoke; this
            # stage adds the ASan/LSan pass
+    repeat
     echo "=== ci.sh: all stages green ==="
     ;;
   *)
-    echo "unknown stage: $STAGE (expected tier1|asan|tsan|bench|soak|all)" >&2
+    echo "unknown stage: $STAGE (expected tier1|asan|tsan|bench|soak|repeat|all)" >&2
     exit 2
     ;;
 esac

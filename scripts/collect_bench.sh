@@ -13,7 +13,7 @@ cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc)}"
 
 cmake -B build -S . >/dev/null
-cmake --build build -j "$JOBS" --target abl_waits abl_elastic abl_readpath abl_soak openloop_latency >/dev/null
+cmake --build build -j "$JOBS" --target abl_waits abl_elastic abl_readpath abl_soak openloop_latency check_journal >/dev/null
 
 echo "=== abl_waits -> BENCH_waits.json ==="
 ./build/bench/abl_waits --json BENCH_waits.json
@@ -39,18 +39,14 @@ echo "=== abl_soak -> BENCH_soak.json ==="
 ./build/bench/abl_soak --json BENCH_soak.json
 
 # The open-loop harness validates every rate step's commit journal inline
-# (nonzero exit on a checker failure) AND dumps the trace/journal pair so
-# the standalone python checker re-validates the smoke step from the files
+# (nonzero exit on a checker failure) AND dumps the trace/journal pairs so
+# the standalone check_journal tool re-validates every step from the files
 # alone — a BENCH_latency.json only gets checked in off a verified history.
 echo "=== openloop_latency -> BENCH_latency.json ==="
 OL_DUMP="$(mktemp -d)"
 trap 'rm -rf "$OL_DUMP"' EXIT
 ./build/bench/openloop_latency --json BENCH_latency.json \
   --trace "$OL_DUMP/ol" --journal "$OL_DUMP/ol"
-if command -v python3 >/dev/null 2>&1; then
-  for t in "$OL_DUMP"/ol.*.trace; do
-    python3 scripts/check_journal.py "$t" "${t%.trace}.journal"
-  done
-else
-  echo "python3 not found; skipping the standalone checker pass" >&2
-fi
+for t in "$OL_DUMP"/ol.*.trace; do
+  ./build/bench/check_journal "$t" "${t%.trace}.journal"
+done

@@ -165,7 +165,13 @@ void commit_pipeline::tx_commit_whole(task_env& env) {
 
   // Line 78: validate all tasks unless every task saw the same snapshot
   // (then their union is one consistent snapshot — skippable, paper §3.2).
-  if (!same_valid_ts) {
+  // The skip also needs that snapshot to include this thread's previous
+  // write commit: a write-free transaction serializes at its snapshot, so a
+  // snapshot older than that commit would order it before a transaction
+  // that precedes it in program order (e.g. an erase that missed the key
+  // its predecessor inserted). Write transactions validate again below.
+  if (!same_valid_ts ||
+      thr.last_write_commit_ts.load(std::memory_order_relaxed) > slot.valid_ts) {
     const std::uint64_t bad = validate_tx(env, nullptr);
     if (bad != 0) {
       thr.raise_fence(bad, clk);
@@ -290,6 +296,7 @@ void commit_pipeline::tx_commit_whole(task_env& env) {
   std::uint64_t wm = thr.committed_writer_wm.load(std::memory_order_relaxed);
   thr.committed_writer_wm.store(std::max(wm, max_writer_serial), std::memory_order_relaxed);
   slot.commit_ts_value = ts;
+  thr.last_write_commit_ts.store(ts, std::memory_order_relaxed);
   if (cfg_.record_commits) {
     thr.journal_append({tx_start, serial, ts});
     if (cfg_.journal_retain != 0) thr.prune_journal(cfg_.journal_retain);

@@ -100,11 +100,13 @@ class user_thread {
   journal_view journal_snapshot() const {
     journal_view out;
     std::lock_guard<std::mutex> lock(thr_.journal_mu);
-    out.first_serial = thr_.journal_first_serial;
     out.records.reserve(thr_.journal.size() - thr_.journal.first_index());
     for (std::size_t i = thr_.journal.first_index(); i < thr_.journal.size(); ++i) {
       out.records.push_back(thr_.journal[i]);
     }
+    // Serials are journaled densely from 1, so the oldest retained record
+    // starts at the retain frontier.
+    if (!out.records.empty()) out.first_serial = out.records.front().tx_start_serial;
     return out;
   }
   std::uint32_t id() const noexcept { return thr_.ptid; }

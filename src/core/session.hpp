@@ -61,10 +61,8 @@ class topology_controller;
 /// strided key sets clustered modulo small pipeline counts (ROADMAP item
 /// c); folding high^low of a wide product avalanches every input bit into
 /// every output bit, so `% pipelines` sees an unbiased word for structured
-/// keys too. Public so offline tooling (the trace/journal checker in
-/// tests/support/tracefile.hpp and scripts/check_journal.py) can reproduce
-/// the placement exactly — scripts/check_journal.py mirrors these exact
-/// constants and must change in lockstep.
+/// keys too. Public so the offline trace/journal checker
+/// (trace/journal.hpp) can reproduce the placement exactly.
 constexpr std::uint64_t session_route_hash(std::uint64_t key) noexcept {
   using u128 = unsigned __int128;
   u128 m = static_cast<u128>(key ^ 0x9e3779b97f4a7c15ull) * 0xe7037ed1a0b428dbull;

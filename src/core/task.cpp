@@ -185,6 +185,18 @@ stm::word runtime::task_read(task_env& env, const stm::word* addr) {
     const stm::word value = best->value.load(std::memory_order_relaxed);
     clk.join(best->vstamp.load(std::memory_order_relaxed));
 
+    // The writer's transaction may have committed (and unlinked its chain
+    // entries) while we waited. Its committed writes then no longer show in
+    // any chain, so validate_task cannot see a committed read of ours that
+    // it overwrote; pulling our snapshot past that commit re-checks every
+    // committed read against its stripe version instead.
+    if (thr.last_write_commit_ts.load(std::memory_order_relaxed) > slot.valid_ts &&
+        !task_extend(env)) {
+      thr.raise_fence(my_serial, clk);
+      env.stats.abort_validation++;
+      throw stm::tx_abort{stm::tx_abort::reason::validation};
+    }
+
     // WAR validation trigger (paper line 13). Unstamped: the counter is a
     // trigger threshold, not a data dependency (DESIGN.md §5).
     const std::uint64_t cw = thr.completed_writer.load_unstamped();

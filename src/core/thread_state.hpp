@@ -159,9 +159,13 @@ struct thread_state {
   /// lock-free relative to this mutex — they are serialized by rollback_mu
   /// and never touch released indices.
   mutable std::mutex journal_mu;
-  /// Serial of the oldest retained journal record (1 while untruncated).
-  /// Guarded by journal_mu; becomes each dump's `T` truncation header.
-  std::uint64_t journal_first_serial = 1;
+  /// Commit timestamp of this thread's latest committed write transaction,
+  /// stored before the committer publishes the completion/commit frontier.
+  /// A task whose snapshot (valid_ts) is older must not trust it blindly:
+  /// the commit unlinked its chain entries, so intra-thread WAR checks no
+  /// longer see what it overwrote (speculative reads extend, read-only
+  /// commits validate).
+  std::atomic<stm::word> last_write_commit_ts{0};
   /// Lifetime counters mirrored as atomics because aggregated_stats reads
   /// them while pipelines run: journal appends are serialized by rollback_mu
   /// (not journal_mu), so touching journal.chunks_live() — a std::vector
@@ -191,7 +195,6 @@ struct thread_state {
     journal_chunks_pruned.fetch_add(journal.release_before(keep_from),
                                     std::memory_order_relaxed);
     journal_chunks_live.store(journal.chunks_live(), std::memory_order_relaxed);
-    journal_first_serial = journal[journal.first_index()].tx_start_serial;
     journal_mu.unlock();
   }
 

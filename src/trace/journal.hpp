@@ -4,11 +4,11 @@
 // The harness shape is seeded-generator → trace file → replay → journal
 // dump → offline verifier: bench/openloop_latency.cpp replays a generated
 // trace against a session and dumps the per-pipeline commit journals plus
-// the per-request (pipeline, serial) placement; check_journal() — and its
-// standalone mirror scripts/check_journal.py — then validates the dump
-// against the trace with zero knowledge of the run. Everything here is
-// header-only so the bench links it without pulling the GTest support
-// library in.
+// the per-request (pipeline, serial) placement; check_journal() then
+// validates the dump against the trace with zero knowledge of the run,
+// in-process or from the files through the standalone check_journal tool
+// (trace/check_journal.cpp). Header-only and outside the tlstm library, so
+// the runtime's own objects do not depend on it.
 //
 // Checker invariants (each with its own diagnostic prefix, so adversarial
 // tests can prove every class of corruption is detected):
@@ -48,7 +48,7 @@
 #include "core/thread_state.hpp"
 #include "util/rng.hpp"
 
-namespace tlstm::support {
+namespace tlstm::trace {
 
 // ---------------------------------------------------------------------------
 // Trace generation
@@ -251,8 +251,8 @@ inline bool read_trace(const std::string& path, trace_spec* spec,
 //
 // Truncated dumps (config.journal_retain != 0, DESIGN.md §12): a two-field
 // `T <pipe> <first-serial>` header line declares the oldest retained serial
-// of that pipeline's journal; serials below it were pruned and the checkers
-// validate the retained suffix instead of diagnosing a serial gap. The line
+// of that pipeline's journal; serials below it were pruned and the checker
+// validates the retained suffix instead of diagnosing a serial gap. The line
 // count disambiguates it from placements (2 fields vs 5/6), and it is
 // emitted only for pipelines whose frontier moved past 1 — journal_retain=0
 // dumps stay byte-identical to the historical v1 format.
@@ -282,7 +282,7 @@ struct journal_dump {
   /// Retain frontiers (DESIGN.md §12): first_serial[p] is the oldest serial
   /// pipeline p's journal still holds. Empty means untruncated (frontier 1
   /// everywhere); when non-empty it must have one entry per pipeline, each
-  /// >= 1 (the checkers' bad-truncation diagnostic enforces this).
+  /// >= 1 (the checker's bad-truncation diagnostic enforces this).
   std::vector<std::uint64_t> first_serial;
 };
 
@@ -385,8 +385,7 @@ inline bool read_journal(const std::string& path, journal_dump* d,
       if (n == 2) {
         // Truncation header `T <pipe> <first-serial>` (DESIGN.md §12). The
         // frontier value is NOT validated here — check_journal's
-        // bad-truncation diagnostic owns that, in lockstep with the python
-        // checker.
+        // bad-truncation diagnostic owns that.
         const unsigned long long tp = id;
         if (tp >= pipelines) {
           return fail(std::string("bad truncation record: ") + line);
@@ -408,36 +407,6 @@ inline bool read_journal(const std::string& path, journal_dump* d,
   return true;
 }
 
-/// The journal dump a correct replay of `reqs` over `pipelines` pipelines
-/// must produce, up to the cross-pipeline interleaving of commit_ts (here:
-/// trace order, which is one valid interleaving). Serial assignment is
-/// deterministic — per pipeline, requests install in submission order and
-/// each consumes `tasks` serials. Read-only requests model the fast path:
-/// placement serial 0, no serials consumed, no journal record. Adversarial
-/// checker tests mutate this.
-inline journal_dump synthesize_journal(const std::vector<trace_request>& reqs,
-                                       unsigned pipelines) {
-  journal_dump d;
-  d.pipelines = pipelines;
-  d.journals.assign(pipelines, {});
-  std::vector<std::uint64_t> next_serial(pipelines, 1);
-  stm::word ts = 0;
-  for (const trace_request& r : reqs) {
-    const unsigned p =
-        static_cast<unsigned>(core::session_route_hash(r.key) % pipelines);
-    if (r.read_only) {
-      d.requests.push_back(request_placement{r.id, r.key, p, 0, r.tasks});
-      continue;
-    }
-    const std::uint64_t start = next_serial[p];
-    const std::uint64_t commit = start + r.tasks - 1;
-    next_serial[p] = commit + 1;
-    d.journals[p].push_back(core::commit_record{start, commit, ++ts});
-    d.requests.push_back(request_placement{r.id, r.key, p, commit, r.tasks});
-  }
-  return d;
-}
-
 // ---------------------------------------------------------------------------
 // The offline checker
 // ---------------------------------------------------------------------------
@@ -449,8 +418,7 @@ struct check_result {
 
 /// Validates a journal dump against the trace it claims to be a run of.
 /// Stops at the first violation; the diagnostic's prefix names the
-/// invariant class (see the header comment). scripts/check_journal.py is
-/// the standalone mirror of exactly these checks.
+/// invariant class (see the header comment).
 inline check_result check_journal(const std::vector<trace_request>& trace,
                                   const journal_dump& d) {
   auto fail = [](std::string diag) { return check_result{false, std::move(diag)}; };
@@ -711,4 +679,4 @@ inline check_result check_journal(const std::vector<trace_request>& trace,
   return {};
 }
 
-}  // namespace tlstm::support
+}  // namespace tlstm::trace

@@ -2,65 +2,14 @@
 
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 namespace tlstm::util {
 
 void stat_block::accumulate(const stat_block& other) noexcept {
-  tx_started += other.tx_started;
-  tx_committed += other.tx_committed;
-  tx_read_only += other.tx_read_only;
-  task_started += other.task_started;
-  task_committed += other.task_committed;
-  task_restarts += other.task_restarts;
-  tx_nested += other.tx_nested;
-  abort_war += other.abort_war;
-  abort_waw_past_running += other.abort_waw_past_running;
-  abort_waw_signalled += other.abort_waw_signalled;
-  abort_cm += other.abort_cm;
-  abort_validation += other.abort_validation;
-  abort_tx_inter += other.abort_tx_inter;
-  abort_fence += other.abort_fence;
-  reads_committed += other.reads_committed;
-  reads_speculative += other.reads_speculative;
-  writes += other.writes;
-  task_validations += other.task_validations;
-  ts_extensions += other.ts_extensions;
-  chain_hops += other.chain_hops;
-  wait_spins += other.wait_spins;
-  wait_parks += other.wait_parks;
-  wait_spins_handoff += other.wait_spins_handoff;
-  wait_parks_handoff += other.wait_parks_handoff;
-  wait_spins_inbox += other.wait_spins_inbox;
-  wait_parks_inbox += other.wait_parks_inbox;
-  wait_spins_rollback += other.wait_spins_rollback;
-  wait_parks_rollback += other.wait_parks_rollback;
-  wait_spins_stripe += other.wait_spins_stripe;
-  wait_parks_stripe += other.wait_parks_stripe;
-  wait_spins_cm += other.wait_spins_cm;
-  wait_parks_cm += other.wait_parks_cm;
-  user_ops += other.user_ops;
-  session_batches += other.session_batches;
-  session_batch_txs += other.session_batch_txs;
-  session_callbacks += other.session_callbacks;
-  session_callback_errors += other.session_callback_errors;
-  latency_samples += other.latency_samples;
-  readpath_hits += other.readpath_hits;
-  readpath_retries += other.readpath_retries;
-  readpath_fallbacks += other.readpath_fallbacks;
-  window_shrinks += other.window_shrinks;
-  window_grows += other.window_grows;
-  tasks_deferred += other.tasks_deferred;
-  window_stalls += other.window_stalls;
-  drain_stalls += other.drain_stalls;
-  topo_grows += other.topo_grows;
-  topo_shrinks += other.topo_shrinks;
-  topo_fence_waits += other.topo_fence_waits;
-  topo_reroutes += other.topo_reroutes;
-  gate_shard_parks += other.gate_shard_parks;
-  journal_chunks_live += other.journal_chunks_live;
-  journal_chunks_pruned += other.journal_chunks_pruned;
-  writelog_chunks_recycled += other.writelog_chunks_recycled;
-  pool_bytes_trimmed += other.pool_bytes_trimmed;
+#define TLSTM_STAT_ADD(name) name += other.name;
+  TLSTM_STAT_FIELDS(TLSTM_STAT_ADD)
+#undef TLSTM_STAT_ADD
 }
 
 std::string to_string(const stat_block& s) {
@@ -70,37 +19,10 @@ std::string to_string(const stat_block& s) {
 }
 
 std::ostream& operator<<(std::ostream& os, const stat_block& s) {
-  os << "tx{started=" << s.tx_started << " committed=" << s.tx_committed
-     << " ro=" << s.tx_read_only << "} task{started=" << s.task_started
-     << " committed=" << s.task_committed << " restarts=" << s.task_restarts
-     << " nested=" << s.tx_nested << "} aborts{war=" << s.abort_war << " waw_run=" << s.abort_waw_past_running
-     << " waw_sig=" << s.abort_waw_signalled << " cm=" << s.abort_cm
-     << " valid=" << s.abort_validation << " tx_inter=" << s.abort_tx_inter
-     << " fence=" << s.abort_fence << "} ops{rd=" << s.reads_committed
-     << " rd_spec=" << s.reads_speculative << " wr=" << s.writes
-     << " validations=" << s.task_validations << " ext=" << s.ts_extensions
-     << " hops=" << s.chain_hops << " spins=" << s.wait_spins
-     << " parks=" << s.wait_parks << " user_ops=" << s.user_ops
-     << "} waits{handoff=" << s.wait_spins_handoff << "/" << s.wait_parks_handoff
-     << " inbox=" << s.wait_spins_inbox << "/" << s.wait_parks_inbox
-     << " rollback=" << s.wait_spins_rollback << "/" << s.wait_parks_rollback
-     << " stripe=" << s.wait_spins_stripe << "/" << s.wait_parks_stripe
-     << " cm=" << s.wait_spins_cm << "/" << s.wait_parks_cm
-     << "} session{batches=" << s.session_batches << " txs=" << s.session_batch_txs
-     << " cbs=" << s.session_callbacks << " cb_errs=" << s.session_callback_errors
-     << " lat=" << s.latency_samples
-     << "} readpath{hits=" << s.readpath_hits << " retries=" << s.readpath_retries
-     << " fallbacks=" << s.readpath_fallbacks
-     << "} adapt{shrinks=" << s.window_shrinks
-     << " grows=" << s.window_grows << " deferred=" << s.tasks_deferred
-     << " win_stalls=" << s.window_stalls << " drain_stalls=" << s.drain_stalls
-     << "} topo{grows=" << s.topo_grows << " shrinks=" << s.topo_shrinks
-     << " fence_waits=" << s.topo_fence_waits << " reroutes=" << s.topo_reroutes
-     << " shard_parks=" << s.gate_shard_parks
-     << "} mem{journal_live=" << s.journal_chunks_live
-     << " journal_pruned=" << s.journal_chunks_pruned
-     << " writelog_recycled=" << s.writelog_chunks_recycled
-     << " pool_trimmed=" << s.pool_bytes_trimmed << "}";
+  const char* sep = "";
+#define TLSTM_STAT_PRINT(name) os << std::exchange(sep, " ") << #name "=" << s.name;
+  TLSTM_STAT_FIELDS(TLSTM_STAT_PRINT)
+#undef TLSTM_STAT_PRINT
   return os;
 }
 

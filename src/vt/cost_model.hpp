@@ -3,9 +3,9 @@
 // The constants price the *relative* cost of STM/TLS runtime events on the
 // paper's class of hardware (multi-socket ccNUMA, circa 2012). They were
 // calibrated so that the reproduced figures land in the paper's reported
-// bands (EXPERIMENTS.md §Calibration records the procedure); the qualitative
-// shapes are insensitive to ±50 % perturbations of any single constant,
-// which bench/abl_validation and the calibration notes demonstrate.
+// bands (DESIGN.md §5 describes the model); the qualitative shapes are
+// insensitive to ±50 % perturbations of any single constant, which
+// bench/abl_validation demonstrates.
 #pragma once
 
 #include <cstdint>

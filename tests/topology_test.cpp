@@ -17,7 +17,7 @@
 
 #include "core/runtime.hpp"
 #include "core/session.hpp"
-#include "support/tracefile.hpp"
+#include "trace/journal.hpp"
 
 namespace {
 
@@ -116,7 +116,7 @@ TEST(Topology, ResizeStormJournalPassesEpochAwareChecker) {
   std::vector<word> mem(n_keys, 0);
   word* mp = mem.data();
 
-  std::vector<support::trace_request> trace;
+  std::vector<trace::trace_request> trace;
   std::vector<core::ticket> tickets;
   trace.reserve(n_reqs);
   tickets.reserve(n_reqs);
@@ -135,12 +135,12 @@ TEST(Topology, ResizeStormJournalPassesEpochAwareChecker) {
         c.write(cell, c.read(cell) + 1);
       });
     }
-    trace.push_back(support::trace_request{i, key, 0, tasks, 1, false});
+    trace.push_back(trace::trace_request{i, key, 0, tasks, 1, false});
     tickets.push_back(s.submit_keyed(key, std::move(fns)));
   }
   for (auto& t : tickets) t.wait();
 
-  support::journal_dump dump;
+  trace::journal_dump dump;
   dump.pipelines = rt.num_threads();
   dump.topology = s.topology_history();
   EXPECT_GE(dump.topology.size(), 8u);
@@ -150,11 +150,11 @@ TEST(Topology, ResizeStormJournalPassesEpochAwareChecker) {
     dump.journals[p] = rt.thread(p).journal_snapshot().records;
   }
   for (unsigned i = 0; i < n_reqs; ++i) {
-    dump.requests.push_back(support::request_placement{
+    dump.requests.push_back(trace::request_placement{
         i, trace[i].key, tickets[i].pipeline(), tickets[i].commit_serial(),
         trace[i].tasks, tickets[i].route_epoch()});
   }
-  const support::check_result res = support::check_journal(trace, dump);
+  const trace::check_result res = trace::check_journal(trace, dump);
   EXPECT_TRUE(res.ok) << res.diagnostic;
 
   // Every submission also took effect exactly once (zero drops, zero

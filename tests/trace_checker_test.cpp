@@ -1,10 +1,11 @@
-// The open-loop trace/journal toolchain (tests/support/tracefile.hpp,
+// The open-loop trace/journal toolchain (src/trace/journal.hpp,
 // DESIGN.md §9): golden-seed trace determinism, file-format round trips,
 // routing agreement with the live session layer, the offline checker on
 // both synthesized and real replay histories, adversarial corruption
-// detection (every checker diagnostic class must actually fire), and
-// agreement with the standalone python mirror scripts/check_journal.py.
-#include "support/tracefile.hpp"
+// detection (every checker diagnostic class must actually fire), and the
+// standalone check_journal tool's exit codes and diagnostics on every kind
+// of dump the file format carries.
+#include "trace/journal.hpp"
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -22,13 +23,12 @@
 namespace {
 
 using namespace tlstm;
-using support::check_journal;
-using support::check_result;
-using support::generate_trace;
-using support::journal_dump;
-using support::synthesize_journal;
-using support::trace_request;
-using support::trace_spec;
+using trace::check_journal;
+using trace::check_result;
+using trace::generate_trace;
+using trace::journal_dump;
+using trace::trace_request;
+using trace::trace_spec;
 
 std::string tmp_path(const std::string& name) {
   return ::testing::TempDir() + name;
@@ -39,6 +39,36 @@ std::string slurp(const std::string& path) {
   std::ostringstream os;
   os << in.rdbuf();
   return os.str();
+}
+
+/// The journal dump a correct replay of `reqs` over `pipelines` pipelines
+/// must produce, up to the cross-pipeline interleaving of commit_ts (here:
+/// trace order, which is one valid interleaving). Serial assignment is
+/// deterministic — per pipeline, requests install in submission order and
+/// each consumes `tasks` serials. Read-only requests model the fast path:
+/// placement serial 0, no serials consumed, no journal record. Adversarial
+/// checker tests mutate this.
+journal_dump synthesize_journal(const std::vector<trace_request>& reqs,
+                                unsigned pipelines) {
+  journal_dump d;
+  d.pipelines = pipelines;
+  d.journals.assign(pipelines, {});
+  std::vector<std::uint64_t> next_serial(pipelines, 1);
+  stm::word ts = 0;
+  for (const trace_request& r : reqs) {
+    const unsigned p =
+        static_cast<unsigned>(core::session_route_hash(r.key) % pipelines);
+    if (r.read_only) {
+      d.requests.push_back(trace::request_placement{r.id, r.key, p, 0, r.tasks});
+      continue;
+    }
+    const std::uint64_t start = next_serial[p];
+    const std::uint64_t commit = start + r.tasks - 1;
+    next_serial[p] = commit + 1;
+    d.journals[p].push_back(core::commit_record{start, commit, ++ts});
+    d.requests.push_back(trace::request_placement{r.id, r.key, p, commit, r.tasks});
+  }
+  return d;
 }
 
 trace_spec small_spec(std::uint64_t seed = 42) {
@@ -90,11 +120,11 @@ TEST(TraceGen, GoldenSeedFilesAreByteIdentical) {
   const std::string p1 = tmp_path("golden1.trace");
   const std::string p2 = tmp_path("golden2.trace");
   const std::string p3 = tmp_path("golden3.trace");
-  ASSERT_TRUE(support::write_trace(p1, spec, generate_trace(spec)));
-  ASSERT_TRUE(support::write_trace(p2, spec, generate_trace(spec)));
+  ASSERT_TRUE(trace::write_trace(p1, spec, generate_trace(spec)));
+  ASSERT_TRUE(trace::write_trace(p2, spec, generate_trace(spec)));
   trace_spec other = spec;
   other.seed = 8;
-  ASSERT_TRUE(support::write_trace(p3, other, generate_trace(other)));
+  ASSERT_TRUE(trace::write_trace(p3, other, generate_trace(other)));
   const std::string b1 = slurp(p1);
   ASSERT_FALSE(b1.empty());
   EXPECT_EQ(b1, slurp(p2));
@@ -105,11 +135,11 @@ TEST(TraceGen, TraceRoundTripsThroughFile) {
   const trace_spec spec = small_spec(3);
   const auto reqs = generate_trace(spec);
   const std::string path = tmp_path("roundtrip.trace");
-  ASSERT_TRUE(support::write_trace(path, spec, reqs));
+  ASSERT_TRUE(trace::write_trace(path, spec, reqs));
   trace_spec rspec;
   std::vector<trace_request> rreqs;
   std::string err;
-  ASSERT_TRUE(support::read_trace(path, &rspec, &rreqs, &err)) << err;
+  ASSERT_TRUE(trace::read_trace(path, &rspec, &rreqs, &err)) << err;
   EXPECT_EQ(rspec, spec);
   EXPECT_EQ(rreqs, reqs);
 }
@@ -118,10 +148,10 @@ TEST(TraceGen, JournalRoundTripsThroughFile) {
   const auto reqs = generate_trace(small_spec(5));
   const journal_dump d = synthesize_journal(reqs, 3);
   const std::string path = tmp_path("roundtrip.journal");
-  ASSERT_TRUE(support::write_journal(path, d));
+  ASSERT_TRUE(trace::write_journal(path, d));
   journal_dump r;
   std::string err;
-  ASSERT_TRUE(support::read_journal(path, &r, &err)) << err;
+  ASSERT_TRUE(trace::read_journal(path, &r, &err)) << err;
   ASSERT_EQ(r.pipelines, d.pipelines);
   ASSERT_EQ(r.journals.size(), d.journals.size());
   for (unsigned p = 0; p < d.pipelines; ++p) {
@@ -173,7 +203,7 @@ TEST(TraceChecker, SynthesizedJournalPasses) {
 
 TEST(TraceChecker, VerdictIsDeterministicAcrossFileRoundTrip) {
   // Same trace + same dump -> same verdict, whether checked in memory or
-  // after a write/read cycle (what check_journal.py consumes).
+  // after a write/read cycle (what the check_journal tool consumes).
   const auto reqs = generate_trace(small_spec(9));
   journal_dump d = synthesize_journal(reqs, 2);
   // Corrupt one record so the verdict is a failure with a specific message.
@@ -182,10 +212,10 @@ TEST(TraceChecker, VerdictIsDeterministicAcrossFileRoundTrip) {
   ASSERT_FALSE(direct.ok);
 
   const std::string path = tmp_path("verdict.journal");
-  ASSERT_TRUE(support::write_journal(path, d));
+  ASSERT_TRUE(trace::write_journal(path, d));
   journal_dump r;
   std::string err;
-  ASSERT_TRUE(support::read_journal(path, &r, &err)) << err;
+  ASSERT_TRUE(trace::read_journal(path, &r, &err)) << err;
   const check_result reread = check_journal(reqs, r);
   EXPECT_EQ(reread.ok, direct.ok);
   EXPECT_EQ(reread.diagnostic, direct.diagnostic);
@@ -234,7 +264,7 @@ TEST(TraceChecker, LiveReplayJournalPasses) {
     d.journals[p] = rt.thread(p).journal_snapshot().records;
   }
   for (const trace_request& r : reqs) {
-    d.requests.push_back(support::request_placement{
+    d.requests.push_back(trace::request_placement{
         r.id, r.key,
         static_cast<unsigned>(core::session_route_hash(r.key) % d.pipelines),
         tickets[r.id].commit_serial(), r.tasks});
@@ -259,38 +289,6 @@ struct adversarial_fixture {
     EXPECT_TRUE(r.ok) << r.diagnostic;
   }
 };
-
-TEST(TraceCheckerAdversarial, DroppedRecordIsASerialGap) {
-  adversarial_fixture f;
-  // Drop a middle journal record: the serial range disappears, leaving a
-  // gap in the per-pipeline density check.
-  ASSERT_GT(f.dump.journals[0].size(), 4u);
-  f.dump.journals[0].erase(f.dump.journals[0].begin() + 2);
-  const check_result r = check_journal(f.reqs, f.dump);
-  ASSERT_FALSE(r.ok);
-  EXPECT_NE(r.diagnostic.find("serial-gap"), std::string::npos) << r.diagnostic;
-}
-
-TEST(TraceCheckerAdversarial, DroppedTailRecordIsAMissingCommit) {
-  adversarial_fixture f;
-  // Drop the LAST record of a pipeline: serial density still holds (the
-  // range just ends earlier), so the request-to-record matching catches it.
-  ASSERT_GT(f.dump.journals[1].size(), 2u);
-  f.dump.journals[1].pop_back();
-  const check_result r = check_journal(f.reqs, f.dump);
-  ASSERT_FALSE(r.ok);
-  EXPECT_NE(r.diagnostic.find("missing-commit"), std::string::npos) << r.diagnostic;
-}
-
-TEST(TraceCheckerAdversarial, DuplicatedRecordIsADuplicateSerial) {
-  adversarial_fixture f;
-  ASSERT_GT(f.dump.journals[0].size(), 3u);
-  f.dump.journals[0].insert(f.dump.journals[0].begin() + 3,
-                            f.dump.journals[0][3]);
-  const check_result r = check_journal(f.reqs, f.dump);
-  ASSERT_FALSE(r.ok);
-  EXPECT_NE(r.diagnostic.find("duplicate-serial"), std::string::npos) << r.diagnostic;
-}
 
 TEST(TraceCheckerAdversarial, ReorderedKeyedPairIsAFifoViolation) {
   // Single-task requests so two same-key placements can swap serials
@@ -375,7 +373,7 @@ journal_dump synthesize_epochal_journal(const std::vector<trace_request>& reqs,
     next_serial[pipe] = commit + 1;
     d.journals[pipe].push_back(core::commit_record{start, commit, ++clock});
     d.requests[r.id] =
-        support::request_placement{r.id, r.key, pipe, commit, r.tasks, epoch};
+        trace::request_placement{r.id, r.key, pipe, commit, r.tasks, epoch};
   }
   return d;
 }
@@ -389,10 +387,10 @@ TEST(TraceCheckerTopology, EpochalDumpPassesAndRoundTripsWithESection) {
   // Epoch-bearing dumps round-trip through the file format with their E
   // section and 6-field placements intact, and still pass afterwards.
   const std::string path = tmp_path("epochal.journal");
-  ASSERT_TRUE(support::write_journal(path, d));
+  ASSERT_TRUE(trace::write_journal(path, d));
   journal_dump back;
   std::string err;
-  ASSERT_TRUE(support::read_journal(path, &back, &err)) << err;
+  ASSERT_TRUE(trace::read_journal(path, &back, &err)) << err;
   ASSERT_EQ(back.topology, d.topology);
   for (std::size_t i = 0; i < d.requests.size(); ++i) {
     EXPECT_EQ(back.requests[i].epoch, d.requests[i].epoch);
@@ -411,8 +409,8 @@ TEST(TraceCheckerTopology, StaticDumpsKeepTheLegacyFormat) {
   journal_dump without = synthesize_journal(reqs, 2);
   const std::string p1 = tmp_path("static_hist.journal");
   const std::string p2 = tmp_path("static_nohist.journal");
-  ASSERT_TRUE(support::write_journal(p1, with_history));
-  ASSERT_TRUE(support::write_journal(p2, without));
+  ASSERT_TRUE(trace::write_journal(p1, with_history));
+  ASSERT_TRUE(trace::write_journal(p2, without));
   EXPECT_EQ(slurp(p1), slurp(p2));
 }
 
@@ -436,16 +434,6 @@ TEST(TraceCheckerTopology, MisrouteIsJudgedAgainstTheEpochWidth) {
   const check_result r = check_journal(reqs, d);
   ASSERT_FALSE(r.ok);
   EXPECT_NE(r.diagnostic.find("misrouted-request"), std::string::npos)
-      << r.diagnostic;
-}
-
-TEST(TraceCheckerTopology, UnknownEpochIsDetected) {
-  const auto reqs = generate_trace(small_spec(56));
-  journal_dump d = synthesize_epochal_journal(reqs, 3, reqs.size() / 2);
-  d.requests[7].epoch = 99;  // never in the E section
-  const check_result r = check_journal(reqs, d);
-  ASSERT_FALSE(r.ok);
-  EXPECT_NE(r.diagnostic.find("unknown-epoch"), std::string::npos)
       << r.diagnostic;
 }
 
@@ -488,14 +476,14 @@ TEST(TraceGenReads, ReadSpecRoundTripsAndZeroPermilleKeepsFormat) {
   EXPECT_LT(n_reads, reqs.size());
 
   const std::string path = tmp_path("reads.trace");
-  ASSERT_TRUE(support::write_trace(path, spec, reqs));
+  ASSERT_TRUE(trace::write_trace(path, spec, reqs));
   const std::string bytes = slurp(path);
   EXPECT_NE(bytes.find("reads "), std::string::npos);
   EXPECT_NE(bytes.find("Q "), std::string::npos);
   trace_spec rspec;
   std::vector<trace_request> rreqs;
   std::string err;
-  ASSERT_TRUE(support::read_trace(path, &rspec, &rreqs, &err)) << err;
+  ASSERT_TRUE(trace::read_trace(path, &rspec, &rreqs, &err)) << err;
   EXPECT_EQ(rspec, spec);
   EXPECT_EQ(rreqs, reqs);  // read_only flags included (operator== is defaulted)
 
@@ -508,7 +496,7 @@ TEST(TraceGenReads, ReadSpecRoundTripsAndZeroPermilleKeepsFormat) {
   ASSERT_EQ(preqs.size(), reqs.size());
   for (const trace_request& r : preqs) EXPECT_FALSE(r.read_only);
   const std::string plain_path = tmp_path("plain.trace");
-  ASSERT_TRUE(support::write_trace(plain_path, plain, preqs));
+  ASSERT_TRUE(trace::write_trace(plain_path, plain, preqs));
   const std::string plain_bytes = slurp(plain_path);
   EXPECT_EQ(plain_bytes.find("reads "), std::string::npos);
   EXPECT_EQ(plain_bytes.find("Q "), std::string::npos);
@@ -539,9 +527,9 @@ TEST(TraceCheckerReads, FallbackReadMatchesARecordAndMayCarryTsZero) {
   d.journals[0].push_back(core::commit_record{1, 1, 77});
   d.journals[0].push_back(core::commit_record{2, 2, 0});
   d.journals[0].push_back(core::commit_record{3, 3, 0});
-  d.requests.push_back(support::request_placement{0, 1, 0, 1, 1});
-  d.requests.push_back(support::request_placement{1, 2, 0, 2, 1});
-  d.requests.push_back(support::request_placement{2, 3, 0, 3, 1});
+  d.requests.push_back(trace::request_placement{0, 1, 0, 1, 1});
+  d.requests.push_back(trace::request_placement{1, 2, 0, 2, 1});
+  d.requests.push_back(trace::request_placement{2, 3, 0, 3, 1});
   const check_result ok = check_journal(reqs, d);
   EXPECT_TRUE(ok.ok) << ok.diagnostic;
 
@@ -635,7 +623,7 @@ TEST(TraceCheckerReads, LiveReplayWithReadsPasses) {
     d.journals[p] = rt.thread(p).journal_snapshot().records;
   }
   for (const trace_request& r : reqs) {
-    d.requests.push_back(support::request_placement{
+    d.requests.push_back(trace::request_placement{
         r.id, r.key,
         static_cast<unsigned>(core::session_route_hash(r.key) % d.pipelines),
         tickets[r.id].commit_serial(), r.tasks});
@@ -679,13 +667,13 @@ TEST(TraceCheckerTruncated, TruncatedDumpPassesAndRoundTripsWithTHeader) {
   // The dump round-trips through the file format with its two-field
   // truncation header intact and still passes afterwards.
   const std::string path = tmp_path("truncated.journal");
-  ASSERT_TRUE(support::write_journal(path, d));
+  ASSERT_TRUE(trace::write_journal(path, d));
   const std::string bytes = slurp(path);
   EXPECT_NE(bytes.find("T 0 " + std::to_string(d.first_serial[0]) + "\n"),
             std::string::npos);
   journal_dump back;
   std::string err;
-  ASSERT_TRUE(support::read_journal(path, &back, &err)) << err;
+  ASSERT_TRUE(trace::read_journal(path, &back, &err)) << err;
   ASSERT_EQ(back.first_serial, d.first_serial);
   const check_result r2 = check_journal(reqs, back);
   EXPECT_TRUE(r2.ok) << r2.diagnostic;
@@ -700,8 +688,8 @@ TEST(TraceCheckerTruncated, UntruncatedDumpsKeepTheLegacyFormat) {
   const journal_dump without = synthesize_journal(reqs, 2);
   const std::string p1 = tmp_path("trunc_frontier1.journal");
   const std::string p2 = tmp_path("trunc_nofrontier.journal");
-  ASSERT_TRUE(support::write_journal(p1, with_frontiers));
-  ASSERT_TRUE(support::write_journal(p2, without));
+  ASSERT_TRUE(trace::write_journal(p1, with_frontiers));
+  ASSERT_TRUE(trace::write_journal(p2, without));
   EXPECT_EQ(slurp(p1), slurp(p2));
 }
 
@@ -718,7 +706,7 @@ TEST(TraceCheckerTruncated, WindowedTraceMayDropPrunedRequests) {
 
   // Pruned requests on pipeline 0, in serial order (= pruned-range order).
   std::vector<std::uint64_t> pruned_ids;
-  for (const support::request_placement& p : d.requests) {
+  for (const trace::request_placement& p : d.requests) {
     if (p.pipe == 0 && p.serial < fr) pruned_ids.push_back(p.id);
   }
   std::sort(pruned_ids.begin(), pruned_ids.end(),
@@ -739,7 +727,7 @@ TEST(TraceCheckerTruncated, WindowedTraceMayDropPrunedRequests) {
     for (const trace_request& t : reqs) {
       if (dropped.count(t.id) != 0) continue;
       trace_request wt = t;
-      support::request_placement wp = d.requests[t.id];
+      trace::request_placement wp = d.requests[t.id];
       wt.id = wp.id = wreqs.size();  // renumber 0..N-1
       wreqs.push_back(wt);
       wd.requests.push_back(wp);
@@ -767,219 +755,153 @@ TEST(TraceCheckerAdversarial, ZeroFrontierIsABadTruncation) {
   EXPECT_NE(r.diagnostic.find("bad-truncation"), std::string::npos) << r.diagnostic;
 }
 
-TEST(TraceCheckerAdversarial, ClaimForgedBelowFrontierIsAPrunedClaim) {
-  const auto reqs = generate_trace(small_spec(74));
-  const journal_dump full = synthesize_journal(reqs, 2);
-  ASSERT_GT(full.journals[0].size(), 6u);
-  journal_dump d = truncate_pipe(full, 0, 4);
-  const std::uint64_t fr = d.first_serial[0];
-  ASSERT_TRUE(check_journal(reqs, d).ok);
+// --- the standalone check_journal tool --------------------------------------
 
-  // Move a retained placement's serial below the frontier: its forged claim
-  // overlaps the (already fully tiled) pruned range.
-  bool mutated = false;
-  for (support::request_placement& p : d.requests) {
-    if (p.pipe == 0 && p.serial >= fr) {
-      p.serial = fr - 1;
-      mutated = true;
-      break;
-    }
-  }
-  ASSERT_TRUE(mutated);
-  const check_result r = check_journal(reqs, d);
-  ASSERT_FALSE(r.ok);
-  EXPECT_NE(r.diagnostic.find("pruned-claim"), std::string::npos) << r.diagnostic;
-}
-
-// --- agreement with the standalone python checker --------------------------
-
-class PythonChecker : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (std::system("python3 --version > /dev/null 2>&1") != 0) {
-      GTEST_SKIP() << "python3 not available";
-    }
-  }
-
-  /// Runs scripts/check_journal.py on (trace, journal); returns exit code,
-  /// leaves combined output in out_.
-  int run_checker(const std::string& trace, const std::string& journal) {
-    const std::string out_path = tmp_path("pycheck.out");
-    const std::string cmd = std::string("python3 ") + TLSTM_SOURCE_DIR +
-                            "/scripts/check_journal.py " + trace + " " + journal +
-                            " > " + out_path + " 2>&1";
-    const int rc = std::system(cmd.c_str());
-    out_ = slurp(out_path);
-    return rc == -1 ? -1 : WEXITSTATUS(rc);
-  }
-
-  std::string out_;
+struct tool_run {
+  int rc = -1;
+  std::string out, err;
 };
 
-TEST_F(PythonChecker, AgreesWithCppOnValidAndCorruptDumps) {
-  const trace_spec spec = small_spec(31);
-  const auto reqs = generate_trace(spec);
-  const std::string trace_path = tmp_path("py.trace");
-  ASSERT_TRUE(support::write_trace(trace_path, spec, reqs));
-
-  // Valid dump: both checkers accept.
-  journal_dump good = synthesize_journal(reqs, 2);
-  ASSERT_TRUE(check_journal(reqs, good).ok);
-  const std::string good_path = tmp_path("py_good.journal");
-  ASSERT_TRUE(support::write_journal(good_path, good));
-  EXPECT_EQ(run_checker(trace_path, good_path), 0) << out_;
-  EXPECT_NE(out_.find("OK"), std::string::npos) << out_;
-
-  // Each corruption class: both checkers reject with the same prefix.
-  struct mutation {
-    const char* expect;
-    void (*apply)(journal_dump&);
-  } mutations[] = {
-      {"serial-gap", [](journal_dump& d) { d.journals[0].erase(d.journals[0].begin() + 1); }},
-      {"duplicate-serial",
-       [](journal_dump& d) {
-         d.journals[0].insert(d.journals[0].begin() + 2, d.journals[0][2]);
-       }},
-      {"missing-commit", [](journal_dump& d) { d.journals[1].pop_back(); }},
-      {"commit-ts-zero", [](journal_dump& d) { d.journals[0][0].commit_ts = 0; }},
-  };
-  for (const mutation& m : mutations) {
-    journal_dump bad = synthesize_journal(reqs, 2);
-    m.apply(bad);
-    const check_result cpp = check_journal(reqs, bad);
-    ASSERT_FALSE(cpp.ok) << m.expect;
-    EXPECT_NE(cpp.diagnostic.find(m.expect), std::string::npos) << cpp.diagnostic;
-
-    const std::string bad_path = tmp_path(std::string("py_") + m.expect + ".journal");
-    ASSERT_TRUE(support::write_journal(bad_path, bad));
-    EXPECT_EQ(run_checker(trace_path, bad_path), 1) << m.expect << ": " << out_;
-    EXPECT_NE(out_.find(m.expect), std::string::npos) << m.expect << ": " << out_;
-  }
+/// Runs the check_journal tool with `args` as a child process.
+tool_run run_tool(const std::string& args) {
+  const std::string out_path = tmp_path("tool.out");
+  const std::string err_path = tmp_path("tool.err");
+  const std::string cmd =
+      std::string(CHECK_JOURNAL_BIN) + " " + args + " > " + out_path + " 2> " + err_path;
+  const int rc = std::system(cmd.c_str());
+  return {rc == -1 || !WIFEXITED(rc) ? -1 : WEXITSTATUS(rc), slurp(out_path),
+          slurp(err_path)};
 }
 
-TEST_F(PythonChecker, AgreesWithCppOnEpochBearingDumps) {
-  const trace_spec spec = small_spec(61);
-  const auto reqs = generate_trace(spec);
-  const std::string trace_path = tmp_path("pyepoch.trace");
-  ASSERT_TRUE(support::write_trace(trace_path, spec, reqs));
+/// A kind of dump the file format carries: the trace it replays and a valid
+/// dump of that trace.
+struct dump_kind {
+  const char* name;
+  std::uint64_t seed;
+  unsigned read_permille;
+  journal_dump (*valid)(const std::vector<trace_request>&);
+};
 
-  // Valid epochal dump (E section + 6-field placements): both accept.
-  const journal_dump good = synthesize_epochal_journal(reqs, 3, reqs.size() / 2);
-  ASSERT_TRUE(check_journal(reqs, good).ok);
-  const std::string good_path = tmp_path("pyepoch_good.journal");
-  ASSERT_TRUE(support::write_journal(good_path, good));
-  EXPECT_EQ(run_checker(trace_path, good_path), 0) << out_;
+enum kind_id { static_dump, epochal_dump, reads_dump, truncated_dump };
 
-  // Epoch-specific corruptions: both reject with the same prefix.
-  struct mutation {
-    const char* expect;
-    void (*apply)(journal_dump&);
-  } mutations[] = {
-      {"unknown-epoch", [](journal_dump& d) { d.requests[3].epoch = 99; }},
-      {"misrouted-request",
-       [](journal_dump& d) {
-         for (auto& p : d.requests) {
-           if (p.epoch == 1 && p.pipe != 0) {
-             p.epoch = 0;  // pipe now judged against epoch-0 width 1
-             return;
-           }
+const dump_kind kinds[] = {
+    {"static", 31, 0,
+     [](const std::vector<trace_request>& r) { return synthesize_journal(r, 2); }},
+    {"epochal", 61, 0,
+     [](const std::vector<trace_request>& r) {
+       return synthesize_epochal_journal(r, 3, r.size() / 2);
+     }},
+    {"reads", 37, 350,
+     [](const std::vector<trace_request>& r) { return synthesize_journal(r, 2); }},
+    {"truncated", 79, 0,
+     [](const std::vector<trace_request>& r) {
+       return truncate_pipe(synthesize_journal(r, 2), 0, 5);
+     }},
+};
+
+/// One tool run: a kind's valid dump (expect == nullptr) or that dump with
+/// one corruption, which the tool must report under the `expect` prefix.
+struct tool_case {
+  kind_id kind;
+  const char* expect;
+  void (*mutate)(journal_dump&);
+};
+
+/// The serial-gap, duplicate-serial, unknown-epoch and pruned-claim classes
+/// are asserted only here; the in-process tests above cover the others.
+const tool_case tool_cases[] = {
+    {static_dump, nullptr, nullptr},
+    // A dropped middle record leaves a gap in the per-pipeline density check.
+    {static_dump, "serial-gap",
+     [](journal_dump& d) { d.journals[0].erase(d.journals[0].begin() + 1); }},
+    {static_dump, "duplicate-serial",
+     [](journal_dump& d) { d.journals[0].insert(d.journals[0].begin() + 2, d.journals[0][2]); }},
+    // A dropped LAST record keeps the serials dense (the range just ends
+    // earlier), so the request-to-record matching has to catch it.
+    {static_dump, "missing-commit", [](journal_dump& d) { d.journals[1].pop_back(); }},
+    {static_dump, "commit-ts-zero", [](journal_dump& d) { d.journals[0][0].commit_ts = 0; }},
+
+    {epochal_dump, nullptr, nullptr},
+    // Epoch 99 is never in the E section.
+    {epochal_dump, "unknown-epoch", [](journal_dump& d) { d.requests[3].epoch = 99; }},
+    {epochal_dump, "misrouted-request",
+     [](journal_dump& d) {
+       for (trace::request_placement& p : d.requests) {
+         if (p.epoch == 1 && p.pipe != 0) {
+           p.epoch = 0;  // pipe now judged against epoch-0 width 1
+           return;
          }
-       }},
-  };
-  for (const mutation& m : mutations) {
-    journal_dump bad = synthesize_epochal_journal(reqs, 3, reqs.size() / 2);
-    m.apply(bad);
-    const check_result cpp = check_journal(reqs, bad);
-    ASSERT_FALSE(cpp.ok) << m.expect;
-    EXPECT_NE(cpp.diagnostic.find(m.expect), std::string::npos) << cpp.diagnostic;
+       }
+     }},
 
-    const std::string bad_path =
-        tmp_path(std::string("pyepoch_") + m.expect + ".journal");
-    ASSERT_TRUE(support::write_journal(bad_path, bad));
-    EXPECT_EQ(run_checker(trace_path, bad_path), 1) << m.expect << ": " << out_;
-    EXPECT_NE(out_.find(m.expect), std::string::npos) << m.expect << ": " << out_;
-  }
-}
+    {reads_dump, nullptr, nullptr},
+    {reads_dump, "missing-commit",
+     [](journal_dump& d) {
+       for (trace::request_placement& p : d.requests) {
+         if (p.serial == 0) {
+           p.serial = 100000;  // a fast-path read given a bogus real serial
+           return;
+         }
+       }
+     }},
 
-TEST_F(PythonChecker, AgreesWithCppOnReadBearingDumps) {
-  trace_spec spec = small_spec(37);
-  spec.read_permille = 350;
-  const auto reqs = generate_trace(spec);
-  const std::string trace_path = tmp_path("pyreads.trace");
-  ASSERT_TRUE(support::write_trace(trace_path, spec, reqs));
+    // write_journal emits any frontier != 1, so a frontier of 0 round-trips
+    // through the file format.
+    {truncated_dump, nullptr, nullptr},
+    {truncated_dump, "bad-truncation", [](journal_dump& d) { d.first_serial[1] = 0; }},
+    {truncated_dump, "pruned-claim",
+     [](journal_dump& d) {
+       const std::uint64_t fr = d.first_serial[0];
+       for (trace::request_placement& p : d.requests) {
+         if (p.pipe == 0 && p.serial >= fr) {
+           // The forged claim overlaps the already fully tiled pruned range.
+           p.serial = fr - 1;
+           return;
+         }
+       }
+     }},
+};
 
-  // Valid with-reads dump (reads at serial 0, no records): both accept.
-  journal_dump good = synthesize_journal(reqs, 2);
-  ASSERT_TRUE(check_journal(reqs, good).ok);
-  const std::string good_path = tmp_path("pyreads_good.journal");
-  ASSERT_TRUE(support::write_journal(good_path, good));
-  EXPECT_EQ(run_checker(trace_path, good_path), 0) << out_;
+TEST(CheckJournalTool, ReportsEveryDumpKindAndCorruptionFromTheFiles) {
+  for (const tool_case& c : tool_cases) {
+    const dump_kind& k = kinds[c.kind];
+    const std::string label =
+        std::string(k.name) + "_" + (c.expect != nullptr ? c.expect : "valid");
+    SCOPED_TRACE(label);
+    trace_spec spec = small_spec(k.seed);
+    spec.read_permille = k.read_permille;
+    const auto reqs = generate_trace(spec);
+    journal_dump d = k.valid(reqs);
+    if (c.mutate != nullptr) c.mutate(d);
+    const std::string trace_path = tmp_path("tool_" + label + ".trace");
+    const std::string journal_path = tmp_path("tool_" + label + ".journal");
+    ASSERT_TRUE(trace::write_trace(trace_path, spec, reqs));
+    ASSERT_TRUE(trace::write_journal(journal_path, d));
 
-  // A read given a bogus real serial: both reject as missing-commit.
-  journal_dump bad = good;
-  for (support::request_placement& r : bad.requests) {
-    if (r.serial == 0) {
-      r.serial = 100000;
-      break;
+    const tool_run r = run_tool(trace_path + " " + journal_path);
+    if (c.expect == nullptr) {
+      std::size_t records = 0;
+      for (const auto& j : d.journals) records += j.size();
+      EXPECT_EQ(r.rc, 0) << r.err;
+      EXPECT_EQ(r.out, "OK " + std::to_string(reqs.size()) + " requests, " +
+                           std::to_string(records) + " commit records across " +
+                           std::to_string(d.pipelines) + " pipelines\n");
+      EXPECT_EQ(r.err, "");
+    } else {
+      EXPECT_EQ(r.rc, 1) << r.out;
+      EXPECT_EQ(r.err.rfind("check_journal: FAIL " + std::string(c.expect), 0), 0u)
+          << r.err;
+      EXPECT_EQ(r.out, "");
     }
   }
-  const check_result cpp = check_journal(reqs, bad);
-  ASSERT_FALSE(cpp.ok);
-  EXPECT_NE(cpp.diagnostic.find("missing-commit"), std::string::npos)
-      << cpp.diagnostic;
-  const std::string bad_path = tmp_path("pyreads_bad.journal");
-  ASSERT_TRUE(support::write_journal(bad_path, bad));
-  EXPECT_EQ(run_checker(trace_path, bad_path), 1) << out_;
-  EXPECT_NE(out_.find("missing-commit"), std::string::npos) << out_;
 }
 
-TEST_F(PythonChecker, AgreesWithCppOnTruncatedDumps) {
-  const trace_spec spec = small_spec(79);
-  const auto reqs = generate_trace(spec);
-  const std::string trace_path = tmp_path("pytrunc.trace");
-  ASSERT_TRUE(support::write_trace(trace_path, spec, reqs));
-
-  // Valid truncated dump (T header, suffix journal): both accept.
-  const journal_dump full = synthesize_journal(reqs, 2);
-  ASSERT_GT(full.journals[0].size(), 8u);
-  const journal_dump good = truncate_pipe(full, 0, 5);
-  ASSERT_TRUE(check_journal(reqs, good).ok);
-  const std::string good_path = tmp_path("pytrunc_good.journal");
-  ASSERT_TRUE(support::write_journal(good_path, good));
-  EXPECT_EQ(run_checker(trace_path, good_path), 0) << out_;
-
-  // Truncation-specific corruptions: both reject with the same prefix.
-  // (write_journal deliberately emits a frontier of 0 — any value != 1 —
-  // so the bad-truncation case round-trips through the file format.)
-  struct mutation {
-    const char* expect;
-    void (*apply)(journal_dump&);
-  } mutations[] = {
-      {"bad-truncation", [](journal_dump& d) { d.first_serial[1] = 0; }},
-      {"pruned-claim",
-       [](journal_dump& d) {
-         const std::uint64_t fr = d.first_serial[0];
-         for (support::request_placement& p : d.requests) {
-           if (p.pipe == 0 && p.serial >= fr) {
-             p.serial = fr - 1;  // forged claim below the frontier
-             return;
-           }
-         }
-       }},
-  };
-  for (const mutation& m : mutations) {
-    journal_dump bad = truncate_pipe(synthesize_journal(reqs, 2), 0, 5);
-    m.apply(bad);
-    const check_result cpp = check_journal(reqs, bad);
-    ASSERT_FALSE(cpp.ok) << m.expect;
-    EXPECT_NE(cpp.diagnostic.find(m.expect), std::string::npos) << cpp.diagnostic;
-
-    const std::string bad_path =
-        tmp_path(std::string("pytrunc_") + m.expect + ".journal");
-    ASSERT_TRUE(support::write_journal(bad_path, bad));
-    EXPECT_EQ(run_checker(trace_path, bad_path), 1) << m.expect << ": " << out_;
-    EXPECT_NE(out_.find(m.expect), std::string::npos) << m.expect << ": " << out_;
-  }
+TEST(CheckJournalTool, UsageErrorExitsTwoAndUnreadableFileExitsOne) {
+  EXPECT_EQ(run_tool("").rc, 2);
+  EXPECT_EQ(run_tool("a b c").rc, 2);
+  const tool_run r = run_tool(tmp_path("absent.trace") + " " + tmp_path("absent.journal"));
+  EXPECT_EQ(r.rc, 1);
+  EXPECT_EQ(r.err.rfind("check_journal: cannot open", 0), 0u) << r.err;
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -225,11 +227,30 @@ TEST(Stats, AbortsTotal) {
   EXPECT_EQ(s.aborts_total(), 28u);
 }
 
-TEST(Stats, ToStringMentionsKeyFields) {
-  stat_block s;
-  s.tx_committed = 42;
-  const auto str = to_string(s);
-  EXPECT_NE(str.find("committed=42"), std::string::npos);
+TEST(Stats, EveryListedFieldAccumulatesAndPrints) {
+  // Distinct values per field, so a field summed into or printed as another
+  // one shows up as a wrong value.
+  stat_block a, b;
+  std::uint64_t i = 0;
+#define SET_FIELD(name) \
+  ++i;                  \
+  a.name = i;           \
+  b.name = 1000 * i;
+  TLSTM_STAT_FIELDS(SET_FIELD)
+#undef SET_FIELD
+  a.accumulate(b);
+
+  std::set<std::string> printed;
+  std::istringstream words(to_string(a));
+  for (std::string w; words >> w;) printed.insert(w);
+  EXPECT_EQ(printed.size(), i);
+  i = 0;
+#define CHECK_FIELD(name)                                                      \
+  ++i;                                                                         \
+  EXPECT_EQ(a.name, 1001 * i) << #name;                                        \
+  EXPECT_EQ(printed.count(#name "=" + std::to_string(1001 * i)), 1u) << #name;
+  TLSTM_STAT_FIELDS(CHECK_FIELD)
+#undef CHECK_FIELD
 }
 
 TEST(Padding, PaddedIsolatesCacheLines) {
