@@ -192,7 +192,6 @@ int main(int argc, char** argv) {
   cfg.elastic = true;
   cfg.min_pipelines = 1;
   cfg.topo_interval_us = 0;   // manual resizes only (deterministic ring)
-  cfg.trim_on_idle = true;
 
   // Pool before runtime: deferred transactional frees referencing it are
   // flushed when the runtime's reclaimers die (see tm_pool lifetime note).

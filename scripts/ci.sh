@@ -11,6 +11,8 @@
 #                            # `soak`) + the same smoke under ASan/LSan
 #   scripts/ci.sh repeat     # structure_sweep_test + trace_checker_test,
 #                            # repeated until the first failure, 30 runs
+#   scripts/ci.sh knobs      # every config field is set by some caller
+#                            # outside src/ (no build needed)
 #
 # The tier-1 full ctest already includes the bench_smoke label, so every
 # bench binary is built AND executed on every CI run — benches cannot rot
@@ -91,6 +93,38 @@ tsan() {
   run_ctest build-tsan -L 'unit|sched'
 }
 
+knobs() {
+  echo "=== knobs: every config field is set by a test, bench or example ==="
+  # A field of these structs that no file outside src/ ever assigns is a
+  # knob nobody turns: it belongs in a named constant next to its user
+  # (DESIGN.md §13). Fields are matched by name, so `.park = x`
+  # anywhere counts for waits.park.
+  local missing=0 spec hdr struct fields field
+  for spec in core/config.hpp:config sched/params.hpp:wait_params \
+              stm/swisstm.hpp:swiss_config stm/tl2.hpp:tl2_config; do
+    hdr="src/${spec%%:*}"
+    struct="${spec##*:}"
+    fields=$(awk -v s="$struct" '
+        $0 ~ "^struct " s " [{]" { inside = 1; next }
+        inside && /^};/ { exit }
+        inside && /^  [A-Za-z_:<>0-9]+ [a-z_0-9]+( = [^;]*|[{][^}]*[}])?;/ {
+          sub(/[ ={;].*/, "", $2); print $2
+        }' "$hdr")
+    if [[ -z "$fields" ]]; then
+      echo "knobs: found no fields of struct ${struct} in ${hdr}" >&2
+      return 1
+    fi
+    for field in $fields; do
+      if ! grep -rqE --include='*.cpp' --include='*.hpp' \
+          "\.${field}(\.[a-z_0-9]+)* *=([^=]|\$)" tests bench examples perfbench; then
+        echo "knobs: ${struct}::${field} (${hdr}) is set by no caller outside src/" >&2
+        missing=1
+      fi
+    done
+  done
+  return "$missing"
+}
+
 case "$STAGE" in
   tier1) tier1 ;;
   asan) asan ;;
@@ -98,7 +132,9 @@ case "$STAGE" in
   bench) bench ;;
   soak) soak ;;
   repeat) repeat ;;
+  knobs) knobs ;;
   all)
+    knobs
     tier1  # includes the bench_smoke and soak labels
     asan
     tsan
@@ -108,7 +144,7 @@ case "$STAGE" in
     echo "=== ci.sh: all stages green ==="
     ;;
   *)
-    echo "unknown stage: $STAGE (expected tier1|asan|tsan|bench|soak|repeat|all)" >&2
+    echo "unknown stage: $STAGE (expected tier1|asan|tsan|bench|soak|repeat|knobs|all)" >&2
     exit 2
     ;;
 esac

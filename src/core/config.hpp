@@ -39,8 +39,6 @@ struct config {
   unsigned log2_table = 20;
   /// Virtual-time cost model (DESIGN.md §5).
   vt::cost_model costs{};
-  /// Polite-phase bound of the inter-thread contention manager.
-  unsigned cm_polite_spins = 64;
   /// cm_policy::polite only: consecutive self-aborts of a task before the
   /// policy escalates to greedy (deadlock breaker, see cm_policy::polite).
   unsigned cm_polite_abort_cap = 8;
@@ -54,12 +52,6 @@ struct config {
   /// measures the alternatives; greedy is the paper's choice and avoids
   /// starvation by construction).
   cm_policy cm_tie_break = cm_policy::greedy;
-  /// Abort backoff: max 2^k relax iterations between attempts.
-  unsigned backoff_max_shift = 12;
-  /// Restart backoff ladder between incarnations of an aborted task
-  /// (sched::ladder_pause): randomized relax bursts, then scheduler yields,
-  /// then escalating randomized sleeps.
-  sched::ladder_params restart_backoff{};
   /// Wait policy of the parked-waiting substrate (DESIGN.md §8/§8.6): every
   /// runtime predicate wait spins a bounded number of backoff-paced checks,
   /// then parks on a wait_gate. With `waits.adaptive` (default) the budget
@@ -67,9 +59,7 @@ struct config {
   /// from `waits.spin_rounds`; `waits.adaptive = false` pins every class to
   /// the static `waits.spin_rounds`, and `waits.park = false` reproduces
   /// the pure-spinning runtime (the bench/abl_sessions and bench/abl_waits
-  /// baselines). `waits.gate_shards` (nonzero power of two) sizes the
-  /// cross-thread stripe gate table that foreign-stripe waiters park on.
-  /// Validation: spin_rounds >= 1, gate_shards a nonzero power of two.
+  /// baselines). Validation: spin_rounds >= 1.
   sched::wait_params waits{};
   /// Capacity of each pipeline's session inbox (rounded up to a power of
   /// two). Full inboxes backpressure session clients; must be >= 1.
@@ -93,10 +83,9 @@ struct config {
   /// above which an epoch votes to narrow the window …
   double adapt_shrink_ratio = 0.40;
   /// … and at or below which it votes to widen it. The band between the two
-  /// ratios votes for neither direction (hysteresis dead zone).
+  /// ratios votes for neither direction (hysteresis dead zone); the window
+  /// moves a step after vt::adapt_params' default two same-direction votes.
   double adapt_grow_ratio = 0.10;
-  /// Consecutive same-direction epoch votes before the window moves a step.
-  unsigned adapt_hysteresis_epochs = 2;
   /// Elastic pipeline topology (DESIGN.md §11): a topology controller
   /// grows/shrinks the ACTIVE pipeline count within
   /// [min_pipelines, num_threads] from observed per-pipeline occupancy,
@@ -124,14 +113,6 @@ struct config {
   double topo_shrink_depth = 0.25;
   /// Consecutive same-direction controller votes before a resize happens.
   unsigned topo_hysteresis = 2;
-  /// Placement hook: pin each pipeline's worker group (and driver) to CPU
-  /// `t % hardware_concurrency` when growing it. Linux-only best effort;
-  /// a no-op on single-core hosts and everywhere pthread affinity is
-  /// unavailable.
-  bool pin_pipelines = false;
-  /// Virtual cycles charged to the submitting user-thread per transaction
-  /// (the serial client-side cost of issuing work).
-  std::uint64_t submit_cost = 50;
   /// Record (tx_start, tx_commit, commit_ts) per committed transaction; used
   /// by the serializability oracle tests.
   bool record_commits = false;
@@ -146,13 +127,9 @@ struct config {
   /// driver against the committed frontier — invisible timestamped reads,
   /// no task slots, no commit serialization, no journal record. Off ⇒
   /// read-only submissions take the full task path (and, like every
-  /// write-free transaction, commit with commit_ts 0).
+  /// write-free transaction, commit with commit_ts 0). A read that keeps
+  /// conflicting falls back after core::readpath_attempt_cap attempts.
   bool read_path = true;
-  /// Fast-path attempts per read-only submission before it falls back to
-  /// the full task path (stats: readpath_fallbacks). Retries pace through
-  /// the restart backoff ladder. Validation rejects 0 while read_path is
-  /// on: it would silently route every submit_read through the slow path.
-  unsigned read_retry_cap = 64;
   /// Bounded-memory server mode (DESIGN.md §12): minimum committed records
   /// retained per user-thread journal. 0 = unbounded (the default; journal
   /// dumps stay byte-identical to the v1 format and the serializability
@@ -161,11 +138,6 @@ struct config {
   /// `journal_retain` newer records exist; dumps then carry `T` truncation
   /// header lines and the checkers validate the retained suffix.
   std::uint64_t journal_retain = 0;
-  /// Let the topology controller drive trim-to-high-water passes (spare
-  /// write-log chunks past their grace period, registered pool trim hooks)
-  /// after a shrink or a sustained fully-idle stretch. Off ⇒ reclaimed
-  /// memory is recycled but never returned to the OS mid-run.
-  bool trim_on_idle = true;
 };
 
 }  // namespace tlstm::core

@@ -9,11 +9,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include "core/session.hpp"
 #include "sched/backoff_ladder.hpp"
 
@@ -74,7 +69,7 @@ void user_thread::submit(std::vector<task_fn> tasks) {
     slot.store_phase(task_phase::ready, clock_);  // release-publishes the fields
     slot.gate.wake_all();  // exactly the slot's worker waits for the install
   }
-  clock_.advance(rt_.cfg().submit_cost);
+  clock_.advance(rt_.cfg().costs.submit);
 }
 
 void user_thread::submit_single(task_fn fn) {
@@ -104,6 +99,10 @@ void user_thread::drain() {
 // ---------------------------------------------------------------------------
 
 namespace {
+
+/// Shards of the cross-thread stripe gate table (DESIGN.md §8.6) that
+/// foreign-stripe waiters park on; gate_table needs a power of two.
+constexpr std::size_t stripe_gate_shards = 64;
 
 config validated(config cfg) {
   if (cfg.num_threads == 0 || cfg.spec_depth == 0) {
@@ -136,17 +135,6 @@ config validated(config cfg) {
     // spin_rounds = 1 (the first check is free), never 0.
     throw std::invalid_argument("waits.spin_rounds must be >= 1");
   }
-  if (cfg.waits.gate_shards == 0 ||
-      (cfg.waits.gate_shards & (cfg.waits.gate_shards - 1)) != 0) {
-    throw std::invalid_argument("waits.gate_shards must be a nonzero power of two");
-  }
-  if (cfg.read_path && cfg.read_retry_cap == 0) {
-    // A zero retry budget would make every submit_read fall back to the
-    // full path while read_path claims the fast path is on — and with
-    // capture_latency it would double-stamp install on every read ticket
-    // for nothing. Reject the inconsistency instead of limping.
-    throw std::invalid_argument("read_retry_cap must be >= 1 while read_path is on");
-  }
   if (cfg.elastic) {
     if (cfg.min_pipelines == 0 || cfg.min_pipelines > cfg.num_threads) {
       throw std::invalid_argument("min_pipelines must be in [1, num_threads]");
@@ -169,7 +157,7 @@ config validated(config cfg) {
 runtime::runtime(config cfg)
     : cfg_(validated(cfg)),
       table_(cfg.log2_table),
-      stripe_gates_(cfg_.waits.gate_shards),
+      stripe_gates_(stripe_gate_shards),
       governor_(cfg_.waits),
       commit_(cfg_, commit_ts_, stripe_gates_, governor_),
       cm_(cfg_) {
@@ -189,7 +177,6 @@ runtime::runtime(config cfg)
       p.interval_tasks = cfg_.adapt_interval_tasks;
       p.shrink_ratio = cfg_.adapt_shrink_ratio;
       p.grow_ratio = cfg_.adapt_grow_ratio;
-      p.hysteresis_epochs = cfg_.adapt_hysteresis_epochs;
       adapters_[t] = std::make_unique<vt::adapt_controller>(p, cfg_.costs);
       threads_[t]->adapt = adapters_[t].get();
     }
@@ -233,17 +220,6 @@ void runtime::spawn_worker_group(unsigned t) {
         base + (w + thr.depth - (base - 1) % thr.depth) % thr.depth;
     wk.os_thread = std::thread(
         [this, t, w, &wk, start] { worker_main(*threads_[t], w, wk, start); });
-#ifdef __linux__
-    if (cfg_.pin_pipelines) {
-      const unsigned hc = std::thread::hardware_concurrency();
-      if (hc > 1) {
-        cpu_set_t set;
-        CPU_ZERO(&set);
-        CPU_SET(static_cast<int>(t % hc), &set);
-        pthread_setaffinity_np(wk.os_thread.native_handle(), sizeof(set), &set);
-      }
-    }
-#endif
   }
   group_active_[t] = true;
 }
@@ -609,16 +585,15 @@ void runtime::run_one_incarnation(task_env& env, worker& wk) {
       assert(thr.fence_covers(slot.serial.load(std::memory_order_relaxed), wk.clock));
       epochs_.unpin(wk.epoch_slot);
       commit_.rollback_parked_wait(env);
-      // Escalating randomized backoff (sched::ladder_pause, knobs in
-      // config.restart_backoff): the early levels damp immediate
-      // re-collision; the late levels reach OS-scheduler granularity, which
-      // is what actually breaks inter-thread CM livelocks on oversubscribed
-      // cores — the repeat loser must stay off-CPU long enough for the
-      // winning transaction's worker to observe the released stripe and
-      // commit, else the loser's restart re-acquires the stripe first and
-      // the winner signals it to abort again, forever.
-      sched::ladder_pause(cfg_.restart_backoff, ++slot.consecutive_restarts,
-                          cfg_.backoff_max_shift, wk.rng);
+      // Escalating randomized backoff (sched::ladder_pause): the early
+      // levels damp immediate re-collision; the late levels reach
+      // OS-scheduler granularity, which is what actually breaks
+      // inter-thread CM livelocks on oversubscribed cores — the repeat
+      // loser must stay off-CPU long enough for the winning transaction's
+      // worker to observe the released stripe and commit, else the loser's
+      // restart re-acquires the stripe first and the winner signals it to
+      // abort again, forever.
+      sched::ladder_pause(++slot.consecutive_restarts, wk.rng);
     }
   }
 }

@@ -183,8 +183,8 @@ class runtime {
 
   /// Trim-to-high-water pass (DESIGN.md §12): frees spare write-log chunks
   /// whose grace period has passed and runs every registered trim hook
-  /// (pool trims). Driven by the topology controller on shrink/idle when
-  /// config.trim_on_idle; callable directly by harnesses. Returns bytes
+  /// (pool trims). Driven by the topology controller on shrink/idle;
+  /// callable directly by harnesses. Returns bytes
   /// released to the OS by this pass.
   std::size_t trim_now();
   /// Registers a trim callback (e.g. a tm_pool's object_pool::trim bound to
@@ -233,8 +233,8 @@ class runtime {
   // --- constructor/stop paths are built on these; the topology controller
   // --- calls them through session_front on grow/shrink.
   /// Registers epoch slots and spawns the spec_depth worker threads of
-  /// pipeline `t`, resuming at the serials after committed_task. Applies the
-  /// pin_pipelines placement hook. No-op when the group is already up.
+  /// pipeline `t`, resuming at the serials after committed_task. No-op when
+  /// the group is already up.
   void spawn_worker_group(unsigned t);
   /// Joins pipeline `t`'s workers and releases their epoch slots. The
   /// pipeline must be fully drained (committed == submitted): all its slots

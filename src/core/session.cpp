@@ -553,8 +553,7 @@ void session_front::install_submission(unsigned t, submission& s,
 bool session_front::execute_read(unsigned t, detail::sub_tx& tx) {
   pipe& p = *pipes_[t];
   util::stat_block& st = p.stats;
-  const config& cfg = rt_.cfg();
-  if (cfg.capture_latency) {
+  if (rt_.cfg().capture_latency) {
     // Install capture point (§9): for a fast-path read, "install" is the
     // start of inline execution. On fallback the full path re-stamps it —
     // a later value, so the stamps stay monotone either way.
@@ -573,7 +572,7 @@ bool session_front::execute_read(unsigned t, detail::sub_tx& tx) {
     }
     p.ro_slot.logs.clear_for_restart();
   };
-  for (unsigned attempt = 1; attempt <= cfg.read_retry_cap; ++attempt) {
+  for (unsigned attempt = 1; attempt <= readpath_attempt_cap; ++attempt) {
     // Pin the reclamation epoch across the attempt: structure reads may
     // chase pointers a concurrent committer just retired.
     rt_.epochs().pin(p.epoch_slot);
@@ -605,10 +604,7 @@ bool session_front::execute_read(unsigned t, detail::sub_tx& tx) {
       rt_.epochs().unpin(p.epoch_slot);
       unwind();
       st.readpath_retries++;
-      if (attempt < cfg.read_retry_cap) {
-        sched::ladder_pause(cfg.restart_backoff, attempt, cfg.backoff_max_shift,
-                            p.rng);
-      }
+      if (attempt < readpath_attempt_cap) sched::ladder_pause(attempt, p.rng);
     } catch (const stm::read_needs_write&) {
       rt_.epochs().unpin(p.epoch_slot);
       unwind();

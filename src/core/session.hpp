@@ -72,6 +72,12 @@ constexpr std::uint64_t session_route_hash(std::uint64_t key) noexcept {
   return static_cast<std::uint64_t>(m) ^ static_cast<std::uint64_t>(m >> 64);
 }
 
+/// Read-only fast path (DESIGN.md §10): inline attempts per declared read
+/// before it falls back to the full task path (stats: readpath_retries
+/// counts the failed attempts, readpath_fallbacks the give-ups). Retries
+/// pace through the restart backoff ladder (sched::ladder_pause).
+inline constexpr unsigned readpath_attempt_cap = 64;
+
 /// Wall-clock stamps of one submission's life cycle (config.capture_latency,
 /// DESIGN.md §9). steady_clock nanoseconds; a field is 0 until its capture
 /// point is reached (all four stay 0 with capture off). The three phases the
@@ -238,7 +244,7 @@ class session {
   /// earlier in-flight submissions, so there is no read-your-writes
   /// ordering against still-queued tickets — wait() on the writing ticket
   /// first when that order matters. A closure that writes anyway (or keeps
-  /// conflicting past config.read_retry_cap) transparently falls back to
+  /// conflicting past readpath_attempt_cap) transparently falls back to
   /// the full task path. With config.read_path off every submit_read takes
   /// the full path.
   ticket submit_read(std::vector<task_fn> tasks);
@@ -464,7 +470,7 @@ class session_front {
   std::uint64_t rr_index() noexcept;
   /// Read-only fast path (DESIGN.md §10): runs `tx` inline on the driver
   /// against the committed frontier, retrying conflicts through the
-  /// backoff ladder up to config.read_retry_cap attempts. True ⇒ the
+  /// backoff ladder up to readpath_attempt_cap attempts. True ⇒ the
   /// ticket completed (commit_serial stays 0); false ⇒ the attempt was
   /// abandoned (a write, or retries exhausted — readpath_fallbacks) and
   /// the caller must install it down the full task path.

@@ -18,6 +18,9 @@ namespace tlstm::core {
 namespace {
 constexpr unsigned read_retry_cap = 4096;   // version double-check retries
 constexpr unsigned chain_hop_cap = 4096;    // defensive bound on chain walks
+/// Polite phase of the inter-thread contention manager: failed lock probes
+/// of a foreign-owned stripe before the CM decision engages.
+constexpr unsigned cm_polite_spins = 64;
 }  // namespace
 
 void runtime::validate_now(task_env& env) {
@@ -282,7 +285,7 @@ void runtime::task_write(task_env& env, stm::word* addr, stm::word value) {
   const std::uint64_t my_serial = env.serial();
   stm::lock_pair& pair = table_.for_addr(addr);
   util::backoff bo;
-  unsigned polite_left = cfg_.cm_polite_spins;
+  unsigned polite_left = cm_polite_spins;
 
   auto push_entry = [&](stm::write_entry* head) -> bool {
     // Structural chain pushes pause while a rollback is popping entries

@@ -86,7 +86,7 @@ bool topology_controller::tick() {
   // full idleness gate it (one tick can be a sampling artifact), and the
   // counter resets on any activity or after a trim so a long lull pays one
   // pass, not one per tick.
-  if (cfg.trim_on_idle && idle == width && total_now == 0.0) {
+  if (idle == width && total_now == 0.0) {
     if (++idle_ticks_ >= 2) {
       front_.rt_.trim_now();
       idle_ticks_ = 0;
@@ -134,7 +134,7 @@ bool topology_controller::tick() {
   }
   // A shrink just harvested the retired pipes' write logs; trim the spares
   // that cleared their grace period (plus registered pools) right away.
-  if (resized && target < width && cfg.trim_on_idle) front_.rt_.trim_now();
+  if (resized && target < width) front_.rt_.trim_now();
   return resized;
 }
 

@@ -207,7 +207,7 @@ class wait_governor {
 };
 
 /// The sharded cross-thread stripe gate table. Power-of-two shard count
-/// (config.waits.gate_shards, validated at runtime construction); the
+/// (the runtime builds 64, core/runtime.cpp stripe_gate_shards); the
 /// stripe's lock_pair address is mixed with a two-round folded multiply
 /// before masking. The previous single Fibonacci multiply kept only a
 /// middle bit window (`>> 40 & mask`), so stride-patterned lock_pair

@@ -1,7 +1,7 @@
 // Tunables of the scheduling substrate (DESIGN.md §8): how runtime waits
-// behave (bounded spin, then park) and how restarted tasks back off. Kept in
-// a dependency-free header so core/config.hpp can embed them without pulling
-// the wait machinery into every include chain.
+// behave (bounded spin, then park). Kept in a dependency-free header so
+// core/config.hpp can embed them without pulling the wait machinery into
+// every include chain.
 #pragma once
 
 #include <cstdint>
@@ -29,24 +29,6 @@ struct wait_params {
   /// uses the static spin_rounds above (the static-park baseline of
   /// bench/abl_waits).
   bool adaptive = true;
-  /// Number of cache-line-padded shards in the cross-thread stripe gate
-  /// table (DESIGN.md §8.6) that foreign-stripe waiters park on. Must be a
-  /// nonzero power of two.
-  std::uint32_t gate_shards = 64;
-};
-
-/// The escalating restart backoff ladder applied between incarnations of an
-/// aborted task (sched::ladder_pause). Levels 1..relax_levels pause for a
-/// randomized number of cpu_relax iterations; levels up to yield_levels
-/// yield to the OS scheduler; beyond that the loser sleeps for a randomized,
-/// linearly growing interval — the off-CPU stretch that breaks inter-thread
-/// CM livelocks on oversubscribed cores (see runtime::run_one_incarnation).
-struct ladder_params {
-  unsigned relax_levels = 6;
-  unsigned yield_levels = 10;
-  unsigned sleep_base_us = 100;
-  unsigned sleep_step_us = 250;
-  unsigned sleep_cap_steps = 8;
 };
 
 }  // namespace tlstm::sched

@@ -76,8 +76,8 @@ struct backend_traits<backend_kind::tl2> {
 using swisstm_backend = backend_traits<backend_kind::swisstm>;
 using tl2_backend = backend_traits<backend_kind::tl2>;
 
-/// Builds a backend config from the knobs the configs share. Both are
-/// aggregates whose remaining fields keep their defaults.
+/// Builds a backend config: both config types carry exactly these two
+/// fields (DESIGN.md §13).
 template <typename Backend>
 typename Backend::config_type make_backend_config(unsigned log2_table,
                                                   vt::cost_model costs = {}) {

@@ -1,5 +1,6 @@
 #include "stm/swisstm.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace tlstm::stm {
@@ -8,6 +9,10 @@ namespace {
 /// Bounded retries for the version/value/version double-check before we
 /// declare the read un-servable (constant write-backs to one stripe).
 constexpr unsigned read_retry_cap = 4096;
+/// Polite-phase bound: failed lock probes before the greedy phase engages.
+constexpr unsigned cm_polite_spins = 64;
+/// Max abort-backoff exponent (2^k relax iterations).
+constexpr unsigned backoff_max_shift = 12;
 }  // namespace
 
 swiss_runtime::swiss_runtime(swiss_config cfg)
@@ -155,7 +160,7 @@ void swiss_thread::write(word* addr, word value) {
   check_kill_switch();
   lock_pair& pair = rt_.table().for_addr(addr);
   util::backoff bo;
-  unsigned polite_left = rt_.config().cm_polite_spins;
+  unsigned polite_left = cm_polite_spins;
   for (;;) {
     write_entry* head = pair.w_lock.load(clock_);
     if (head != nullptr && head->owner_thread.load(std::memory_order_relaxed) == this) {
@@ -336,9 +341,7 @@ void swiss_thread::on_abort(const tx_abort& a) {
   stats_.task_restarts++;
   rt_.epochs().unpin(epoch_slot_);
   // Randomized exponential wall-clock backoff bounds livelock on real cores.
-  const unsigned shift =
-      attempt_ < rt_.config().backoff_max_shift ? attempt_ : rt_.config().backoff_max_shift;
-  const std::uint64_t iters = rng_.next_below(1ull << shift);
+  const std::uint64_t iters = rng_.next_below(1ull << std::min(attempt_, backoff_max_shift));
   for (std::uint64_t i = 0; i < iters; ++i) util::cpu_relax();
 }
 

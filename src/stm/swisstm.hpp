@@ -31,10 +31,6 @@ namespace tlstm::stm {
 struct swiss_config {
   unsigned log2_table = 20;
   vt::cost_model costs{};
-  /// Polite-phase bound: failed lock probes before the greedy phase engages.
-  unsigned cm_polite_spins = 64;
-  /// Max abort-backoff exponent (2^k relax iterations).
-  unsigned backoff_max_shift = 12;
 };
 
 class swiss_runtime;

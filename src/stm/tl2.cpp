@@ -6,6 +6,13 @@
 
 namespace tlstm::stm {
 
+namespace {
+/// Failed probes of a locked stripe before the reader/acquirer aborts.
+constexpr unsigned lock_spin_cap = 64;
+/// Max abort-backoff exponent (2^k relax iterations).
+constexpr unsigned backoff_max_shift = 12;
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // tl2_runtime
 // ---------------------------------------------------------------------------
@@ -53,7 +60,7 @@ void tl2_thread::on_abort(const tx_abort&) {
   rt_.epochs().unpin(epoch_slot_);
   clock_.advance(rt_.config().costs.abort_fixed);
   const std::uint64_t iters = rng_.next_below(
-      1ull << std::min<std::uint64_t>(attempt_ + 3, rt_.config().backoff_max_shift));
+      1ull << std::min<std::uint64_t>(attempt_ + 3, backoff_max_shift));
   for (std::uint64_t i = 0; i < iters; ++i) util::cpu_relax();
 }
 
@@ -95,7 +102,7 @@ word tl2_thread::read(const word* addr) {
 
   auto& lock = rt_.table().for_addr(addr);
   util::backoff bo;
-  for (unsigned tries = 0; tries < rt_.config().lock_spin_cap; ++tries) {
+  for (unsigned tries = 0; tries < lock_spin_cap; ++tries) {
     const word v1 = lock.load(clock_);
     if (tl2_lock_table::is_locked(v1)) {
       stats_.wait_spins++;
@@ -186,7 +193,7 @@ void tl2_thread::commit() {
         }
         continue;
       }
-      if (++tries > rt_.config().lock_spin_cap) {
+      if (++tries > lock_spin_cap) {
         release_all();
         abort_tx(tx_abort::reason::cm);
       }

@@ -34,10 +34,6 @@ namespace tlstm::stm {
 struct tl2_config {
   unsigned log2_table = 20;
   vt::cost_model costs{};
-  /// Failed probes of a locked stripe before the reader/acquirer aborts.
-  unsigned lock_spin_cap = 64;
-  /// Max abort-backoff exponent (2^k relax iterations).
-  unsigned backoff_max_shift = 12;
 };
 
 /// TL2's per-stripe versioned lock: bit 0 = locked, bits 1.. = version.

@@ -21,6 +21,7 @@ cost_model cost_model::zero() {
   m.task_log_validate = 0;
   m.fence_coordination = 0;
   m.window_stall = 0;
+  m.submit = 0;
   m.user_work_unit = 1;
   return m;
 }

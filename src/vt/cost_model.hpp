@@ -37,6 +37,9 @@ struct cost_model {
   /// *duration* is captured by the stamped-load join; this prices the
   /// blocked-side handoff itself, so window-bound runs are never free).
   std::uint64_t window_stall = 40;
+  /// Charged to the submitting user-thread per transaction (the serial
+  /// client-side cost of issuing work).
+  std::uint64_t submit = 50;
 
   // --- Workload compute (user work between tm accesses). ---
   std::uint64_t user_work_unit = 1;     ///< multiplier for ctx.work(n)

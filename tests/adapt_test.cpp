@@ -150,7 +150,6 @@ core::config adapt_cfg(unsigned depth) {
   cfg.log2_table = 12;
   cfg.adapt_window = true;
   cfg.adapt_interval_tasks = 16;
-  cfg.adapt_hysteresis_epochs = 2;
   return cfg;
 }
 
@@ -285,7 +284,6 @@ core::config stall_cfg(unsigned depth) {
   cfg.log2_table = 10;
   cfg.costs = vt::cost_model::zero();
   cfg.costs.window_stall = 64;
-  cfg.submit_cost = 0;
   return cfg;
 }
 

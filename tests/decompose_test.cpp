@@ -503,7 +503,6 @@ TEST(DecomposeFailure, DoacrossUnderAdaptiveControllerStaysSequential) {
   cfg.spec_depth = 4;
   cfg.adapt_window = true;
   cfg.adapt_interval_tasks = 4;
-  cfg.adapt_hysteresis_epochs = 1;
   core::runtime rt(cfg);
   auto& th = rt.thread(0);
 

@@ -252,23 +252,8 @@ TEST(BoundedInbox, CloseWakesParkedProducers) {
 
 TEST(BackoffLadder, AllLevelsTerminate) {
   util::xoshiro256 rng(123, 5);
-  sched::ladder_params p;  // the config defaults (the old magic constants)
-  for (unsigned level = 1; level <= p.yield_levels + p.sleep_cap_steps + 3; ++level) {
-    sched::ladder_pause(p, level, /*max_shift=*/12, rng);
-  }
-}
-
-TEST(BackoffLadder, ZeroedLaddersAreNoOps) {
-  util::xoshiro256 rng(9, 1);
-  sched::ladder_params p;
-  p.relax_levels = 0;
-  p.yield_levels = 0;
-  p.sleep_base_us = 0;
-  p.sleep_step_us = 0;
-  p.sleep_cap_steps = 0;
-  for (unsigned level = 1; level <= 4; ++level) {
-    sched::ladder_pause(p, level, 12, rng);  // must not divide/underflow
-  }
+  const unsigned top = sched::ladder_yield_levels + sched::ladder_sleep_cap_steps + 3;
+  for (unsigned level = 1; level <= top; ++level) sched::ladder_pause(level, rng);
 }
 
 // ---------------------------------------------------------------------------
@@ -304,23 +289,6 @@ TEST(ConfigValidation, RejectsZeroSpinRounds) {
   cfg.log2_table = 4;
   cfg.waits.spin_rounds = 0;
   EXPECT_THROW(core::runtime rt(cfg), std::invalid_argument);
-}
-
-TEST(ConfigValidation, RejectsBadGateShards) {
-  core::config cfg;
-  cfg.log2_table = 4;
-  cfg.waits.gate_shards = 0;
-  EXPECT_THROW(core::runtime rt(cfg), std::invalid_argument);
-  cfg.waits.gate_shards = 48;  // not a power of two
-  EXPECT_THROW(core::runtime rt(cfg), std::invalid_argument);
-}
-
-TEST(ConfigValidation, AcceptsSingleGateShard) {
-  core::config cfg;
-  cfg.log2_table = 4;
-  cfg.waits.gate_shards = 1;
-  core::runtime rt(cfg);
-  rt.stop();
 }
 
 TEST(ConfigValidation, AcceptsBoundaryTopology) {

@@ -15,6 +15,7 @@
 
 #include "core/runtime.hpp"
 #include "core/session.hpp"
+#include "stm/readpath.hpp"
 #include "support/word_programs.hpp"
 
 namespace {
@@ -543,17 +544,29 @@ TEST(SessionReadPath, ReadsInterleavedWithWritesSeeCommittedValues) {
   EXPECT_EQ(rt.aggregated_stats().readpath_hits, 50u);
 }
 
-TEST(SessionReadPath, RejectsZeroRetryCapWhileOn) {
-  auto bad = small_cfg(1, 1);
-  bad.read_retry_cap = 0;
-  ASSERT_TRUE(bad.read_path);
-  EXPECT_THROW(core::runtime rt(bad), std::invalid_argument);
-  // With the fast path off the cap is inert and zero is acceptable.
-  auto ok = small_cfg(1, 1);
-  ok.read_path = false;
-  ok.read_retry_cap = 0;
-  core::runtime rt(ok);
+TEST(SessionReadPath, ExhaustedRetriesFallBackToTheFullPath) {
+  core::runtime rt(small_cfg(1, 2));
+  auto s = rt.open_session();
+  word cell = 0;
+  s.submit_single([&cell](core::task_ctx& c) { c.write(&cell, 42); }).wait();
+  // A read that conflicts on every fast-path attempt: after exactly
+  // readpath_attempt_cap failures the driver gives up and installs it down
+  // the full task path, where it reads normally and commits.
+  std::atomic<unsigned> runs{0};
+  word seen = 0;
+  core::ticket t = s.submit_read_single([&runs, &cell, &seen](core::task_ctx& c) {
+    if (runs.fetch_add(1) < core::readpath_attempt_cap) throw stm::read_conflict{};
+    seen = c.read(&cell);
+  });
+  t.wait();
+  EXPECT_GT(t.commit_serial(), 0u);
+  EXPECT_EQ(seen, 42u);
+  EXPECT_EQ(runs.load(), core::readpath_attempt_cap + 1);
   rt.stop();
+  const util::stat_block st = rt.aggregated_stats();
+  EXPECT_EQ(st.readpath_retries, core::readpath_attempt_cap);
+  EXPECT_EQ(st.readpath_fallbacks, 1u);
+  EXPECT_EQ(st.readpath_hits, 0u);
 }
 
 TEST(SessionLatency, ReadTicketsCarryMonotoneStamps) {

@@ -101,6 +101,7 @@ TEST(CostModel, ZeroPresetIsFree) {
   EXPECT_EQ(z.read_committed, 0u);
   EXPECT_EQ(z.commit_fixed, 0u);
   EXPECT_EQ(z.task_start, 0u);
+  EXPECT_EQ(z.submit, 0u);
   EXPECT_EQ(z.user_work_unit, 1u);  // user work still priced
 }
 
