@@ -15,10 +15,36 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cinttypes>
+#include <cstdio>
+#include <cstdlib>
 
 #include "core/thread_state.hpp"
 
 namespace tlstm::core {
+
+namespace {
+/// Past the point of no return, every stripe the committer locked must
+/// still be headed by its own entries. Some pop that removed them is a
+/// runtime bug; say which stripe and transaction lost its head instead of
+/// dying on a null dereference in the unlink loop.
+[[noreturn]] void chain_head_lost(const stm::lock_pair* stripe, const stm::write_entry* head,
+                                  const thread_state& thr, std::uint64_t tx_start,
+                                  std::uint64_t serial) {
+  std::fprintf(stderr,
+               "tlstm: commit write-back lost its chain head: stripe %p, ptid %" PRIu32
+               ", tx_start %" PRIu64 ", serial %" PRIu64,
+               static_cast<const void*>(stripe), thr.ptid, tx_start, serial);
+  if (head != nullptr) {
+    std::fprintf(stderr, ", head ptid %" PRIu32 " serial %" PRIu64, head->ptid(),
+                 head->serial());
+  } else {
+    std::fprintf(stderr, ", head null");
+  }
+  std::fprintf(stderr, "\n");
+  std::abort();
+}
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // validate-task (paper Alg. 1, lines 17-31)
@@ -265,7 +291,9 @@ void commit_pipeline::tx_commit_whole(task_env& env) {
   // transactions of this thread (serial > ours) stay locked (line 90-92).
   for (auto& [lp, ver] : locked) {
     stm::write_entry* head = lp->w_lock.load(clk);
-    assert(head != nullptr && head->ptid() == thr.ptid);
+    if (head == nullptr || head->ptid() != thr.ptid) {
+      chain_head_lost(lp, head, thr, tx_start, serial);
+    }
     if (head->serial() <= serial) {
       lp->w_lock.store(nullptr, clk);
     } else {

@@ -76,14 +76,12 @@ struct backend_traits<backend_kind::tl2> {
 using swisstm_backend = backend_traits<backend_kind::swisstm>;
 using tl2_backend = backend_traits<backend_kind::tl2>;
 
-/// Builds a backend config: both config types carry exactly these two
-/// fields (DESIGN.md §13).
+/// Builds a backend config: both config types carry exactly this one
+/// field (DESIGN.md §13).
 template <typename Backend>
-typename Backend::config_type make_backend_config(unsigned log2_table,
-                                                  vt::cost_model costs = {}) {
+typename Backend::config_type make_backend_config(unsigned log2_table) {
   typename Backend::config_type cfg;
   cfg.log2_table = log2_table;
-  cfg.costs = costs;
   return cfg;
 }
 

@@ -6,5 +6,10 @@ namespace tlstm::stm {
 
 static_assert(sizeof(word) == 8, "TLSTM assumes 64-bit words");
 static_assert(alignof(lock_pair) >= 8);
+// zeroed_array hands out stripes as all-zero bytes: lock-free atomics hold
+// their plain value, so zero bytes read as r_lock 0, w_lock null, stamp 0.
+static_assert(std::atomic<word>::is_always_lock_free);
+static_assert(std::atomic<write_entry*>::is_always_lock_free);
+static_assert(std::atomic<vt::vtime>::is_always_lock_free);
 
 }  // namespace tlstm::stm

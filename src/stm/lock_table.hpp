@@ -19,9 +19,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 
 #include "util/cache.hpp"
+#include "util/zeroed_array.hpp"
 #include "vt/vclock.hpp"
 
 namespace tlstm::stm {
@@ -34,7 +34,8 @@ inline constexpr word r_lock_locked = ~word(0);  ///< r_lock write-back sentinel
 
 struct write_entry;
 
-/// One stripe: the (r_lock, w_lock) pair plus virtual-time stamps.
+/// One stripe: the (r_lock, w_lock) pair plus virtual-time stamps. A fresh
+/// stripe is all-zero bytes: version 0, no chain, stamps 0 (zeroed_array).
 struct lock_pair {
   vt::stamped_atomic<word> r_lock;
   vt::stamped_atomic<write_entry*> w_lock;
@@ -81,27 +82,33 @@ struct write_entry {
   }
 };
 
-/// The global table. Sized as a power of two; a Fibonacci hash of the word
-/// address picks the stripe. Collisions are benign: two addresses sharing a
-/// stripe merely produce false conflicts (conservative, like SwissTM).
+/// Stripe index of a word address in a power-of-two table. A Fibonacci
+/// multiplicative hash spreads nearby words across the table; shared by
+/// lock_table and TL2's tl2_lock_table.
+inline std::size_t stripe_index(const void* addr, std::size_t mask) noexcept {
+  auto a = reinterpret_cast<std::uintptr_t>(addr) >> 3;  // 8-byte words
+  return (a * 0x9e3779b97f4a7c15ULL >> 40) & mask;
+}
+
+/// The global table. Sized as a power of two; stripe_index picks the
+/// stripe. Collisions are benign: two addresses sharing a stripe merely
+/// produce false conflicts (conservative, like SwissTM). Stripe memory is
+/// committed on first touch, so a 2^20-stripe table reserves 32 MiB of
+/// address space but costs only the pages that transactions reach.
 class lock_table {
  public:
   explicit lock_table(unsigned log2_entries = 20)
-      : mask_((std::size_t{1} << log2_entries) - 1),
-        entries_(std::make_unique<lock_pair[]>(std::size_t{1} << log2_entries)) {}
+      : mask_((std::size_t{1} << log2_entries) - 1), entries_(mask_ + 1) {}
 
   lock_pair& for_addr(const void* addr) noexcept {
-    auto a = reinterpret_cast<std::uintptr_t>(addr) >> word_shift;
-    // Fibonacci multiplicative hash spreads nearby words across the table.
-    return entries_[(a * 0x9e3779b97f4a7c15ULL >> 40) & mask_];
+    return entries_[stripe_index(addr, mask_)];
   }
 
-  std::size_t size() const noexcept { return mask_ + 1; }
+  std::size_t size() const noexcept { return entries_.size(); }
 
  private:
-  static constexpr unsigned word_shift = 3;  // 8-byte words
   std::size_t mask_;
-  std::unique_ptr<lock_pair[]> entries_;
+  util::zeroed_array<lock_pair> entries_;
 };
 
 /// Raw committed-state word access. atomic_ref keeps racy access defined;

@@ -13,6 +13,8 @@ constexpr unsigned read_retry_cap = 4096;
 constexpr unsigned cm_polite_spins = 64;
 /// Max abort-backoff exponent (2^k relax iterations).
 constexpr unsigned backoff_max_shift = 12;
+/// Virtual-cycle prices (DESIGN.md §5); not configurable per runtime.
+constexpr const vt::cost_model& costs = vt::baseline_costs;
 }  // namespace
 
 swiss_runtime::swiss_runtime(swiss_config cfg)
@@ -77,7 +79,7 @@ void swiss_thread::begin_attempt() {
   pending_ops_ = 0;
   logs_.clear_for_restart();
   valid_ts_ = rt_.commit_ts().load(std::memory_order_acquire);
-  clock_.advance(rt_.config().costs.tx_begin);
+  clock_.advance(costs.tx_begin);
 }
 
 void swiss_thread::check_kill_switch() {
@@ -97,7 +99,7 @@ word swiss_thread::read(const word* addr) {
     // Read-after-write: the stripe's chain holds only our entries.
     for (write_entry* e = head; e != nullptr; e = e->prev.load(std::memory_order_acquire)) {
       if (e->addr.load(std::memory_order_relaxed) == addr) {
-        clock_.advance(rt_.config().costs.read_own_write);
+        clock_.advance(costs.read_own_write);
         stats_.reads_speculative++;
         return e->value.load(std::memory_order_relaxed);
       }
@@ -127,7 +129,7 @@ word swiss_thread::read_committed(const word* addr, lock_pair& pair) {
       abort_tx(tx_abort::reason::validation);
     }
     logs_.read_log.push_back({&pair, addr, v1});
-    clock_.advance(rt_.config().costs.read_committed);
+    clock_.advance(costs.read_committed);
     stats_.reads_committed++;
     return val;
   }
@@ -138,8 +140,8 @@ bool swiss_thread::extend() {
   const word ts = rt_.commit_ts().load(std::memory_order_acquire);
   if (!validate_read_log()) return false;
   valid_ts_ = ts;
-  clock_.advance(rt_.config().costs.ts_extend_fixed +
-                 rt_.config().costs.log_entry_validate * logs_.read_log.size());
+  clock_.advance(costs.ts_extend_fixed +
+                 costs.log_entry_validate * logs_.read_log.size());
   stats_.ts_extensions++;
   return true;
 }
@@ -168,7 +170,7 @@ void swiss_thread::write(word* addr, word value) {
       for (write_entry* e = head; e != nullptr; e = e->prev.load(std::memory_order_acquire)) {
         if (e->addr.load(std::memory_order_relaxed) == addr) {
           e->value.store(value, std::memory_order_relaxed);
-          clock_.advance(rt_.config().costs.write_word);
+          clock_.advance(costs.write_word);
           stats_.writes++;
           return;
         }
@@ -187,7 +189,7 @@ void swiss_thread::write(word* addr, word value) {
         logs_.write_log.pop_back();
         continue;
       }
-      clock_.advance(rt_.config().costs.write_word);
+      clock_.advance(costs.write_word);
       stats_.writes++;
       return;
     }
@@ -221,7 +223,7 @@ void swiss_thread::write(word* addr, word value) {
     if (pair.r_lock.load(clock_) > valid_ts_ && !extend()) {
       abort_tx(tx_abort::reason::validation);
     }
-    clock_.advance(rt_.config().costs.write_word);
+    clock_.advance(costs.write_word);
     stats_.writes++;
     return;
   }
@@ -251,7 +253,7 @@ void swiss_thread::finish_commit_bookkeeping() {
   stats_.tx_committed++;
   stats_.user_ops += pending_ops_;
   pending_ops_ = 0;
-  clock_.advance(rt_.config().costs.commit_fixed);
+  clock_.advance(costs.commit_fixed);
   rt_.epochs().unpin(epoch_slot_);
   rt_.epochs().try_advance();
   in_tx_ = false;
@@ -259,7 +261,6 @@ void swiss_thread::finish_commit_bookkeeping() {
 
 void swiss_thread::commit() {
   check_kill_switch();
-  const auto& costs = rt_.config().costs;
   if (logs_.write_log.empty()) {
     // Read-only: the valid_ts invariant means all reads form a snapshot.
     stats_.tx_read_only++;
@@ -320,7 +321,6 @@ void swiss_thread::commit() {
 }
 
 void swiss_thread::on_abort(const tx_abort& a) {
-  const auto& costs = rt_.config().costs;
   switch (a.why) {
     case tx_abort::reason::validation: stats_.abort_validation++; break;
     case tx_abort::reason::cm: stats_.abort_cm++; break;
@@ -346,7 +346,7 @@ void swiss_thread::on_abort(const tx_abort& a) {
 }
 
 void swiss_thread::work(std::uint64_t n) noexcept {
-  clock_.advance(n * rt_.config().costs.user_work_unit);
+  clock_.advance(n * costs.user_work_unit);
 }
 
 void swiss_thread::log_alloc_undo(void* obj, util::reclaimer::deleter_fn fn, void* ctx) {

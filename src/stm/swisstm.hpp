@@ -30,7 +30,6 @@ namespace tlstm::stm {
 
 struct swiss_config {
   unsigned log2_table = 20;
-  vt::cost_model costs{};
 };
 
 class swiss_runtime;

@@ -11,6 +11,8 @@ namespace {
 constexpr unsigned lock_spin_cap = 64;
 /// Max abort-backoff exponent (2^k relax iterations).
 constexpr unsigned backoff_max_shift = 12;
+/// Virtual-cycle prices (DESIGN.md §5); not configurable per runtime.
+constexpr const vt::cost_model& costs = vt::baseline_costs;
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -50,7 +52,7 @@ void tl2_thread::begin_attempt() {
   commit_retire_.clear();
   pending_ops_ = 0;
   rv_ = rt_.gv().load(std::memory_order_acquire);
-  clock_.advance(rt_.config().costs.tx_begin);
+  clock_.advance(costs.tx_begin);
 }
 
 void tl2_thread::on_abort(const tx_abort&) {
@@ -58,7 +60,7 @@ void tl2_thread::on_abort(const tx_abort&) {
   for (const mm_action& a : alloc_undo_) reclaimer_.retire(a.obj, a.fn, a.ctx);
   alloc_undo_.clear();
   rt_.epochs().unpin(epoch_slot_);
-  clock_.advance(rt_.config().costs.abort_fixed);
+  clock_.advance(costs.abort_fixed);
   const std::uint64_t iters = rng_.next_below(
       1ull << std::min<std::uint64_t>(attempt_ + 3, backoff_max_shift));
   for (std::uint64_t i = 0; i < iters; ++i) util::cpu_relax();
@@ -74,7 +76,7 @@ void tl2_thread::abort_tx(tx_abort::reason why) {
 }
 
 void tl2_thread::work(std::uint64_t n) noexcept {
-  clock_.advance(n * rt_.config().costs.user_work_unit);
+  clock_.advance(n * costs.user_work_unit);
 }
 
 void tl2_thread::log_alloc_undo(void* obj, util::reclaimer::deleter_fn fn, void* ctx) {
@@ -89,7 +91,6 @@ void tl2_thread::log_commit_retire(void* obj, util::reclaimer::deleter_fn fn, vo
 // ---------------------------------------------------------------------------
 
 word tl2_thread::read(const word* addr) {
-  const auto& costs = rt_.config().costs;
   // Read-after-write from the write set.
   for (auto it = write_set_.rbegin(); it != write_set_.rend(); ++it) {
     clock_.advance(costs.chain_hop);
@@ -126,7 +127,6 @@ word tl2_thread::read(const word* addr) {
 }
 
 void tl2_thread::write(word* addr, word value) {
-  const auto& costs = rt_.config().costs;
   for (auto it = write_set_.rbegin(); it != write_set_.rend(); ++it) {
     clock_.advance(costs.chain_hop);
     if (it->addr == addr) {
@@ -146,7 +146,6 @@ void tl2_thread::write(word* addr, word value) {
 // ---------------------------------------------------------------------------
 
 void tl2_thread::commit() {
-  const auto& costs = rt_.config().costs;
   auto finish = [&] {
     for (const mm_action& a : commit_retire_) reclaimer_.retire(a.obj, a.fn, a.ctx);
     commit_retire_.clear();

@@ -33,7 +33,6 @@ namespace tlstm::stm {
 
 struct tl2_config {
   unsigned log2_table = 20;
-  vt::cost_model costs{};
 };
 
 /// TL2's per-stripe versioned lock: bit 0 = locked, bits 1.. = version.
@@ -42,14 +41,12 @@ struct tl2_config {
 class tl2_lock_table {
  public:
   explicit tl2_lock_table(unsigned log2_entries)
-      : mask_((std::size_t{1} << log2_entries) - 1),
-        entries_(std::make_unique<entry[]>(std::size_t{1} << log2_entries)) {}
+      : mask_((std::size_t{1} << log2_entries) - 1), entries_(mask_ + 1) {}
 
   vt::stamped_atomic<word>& for_addr(const void* addr) noexcept {
-    auto a = reinterpret_cast<std::uintptr_t>(addr) >> 3;
-    return entries_[(a * 0x9e3779b97f4a7c15ULL >> 40) & mask_].lock;
+    return entries_[stripe_index(addr, mask_)].lock;
   }
-  std::size_t size() const noexcept { return mask_ + 1; }
+  std::size_t size() const noexcept { return entries_.size(); }
 
   static constexpr word locked_bit = 1;
   static bool is_locked(word v) noexcept { return (v & locked_bit) != 0; }
@@ -58,12 +55,14 @@ class tl2_lock_table {
     return (version << 1) | (locked ? locked_bit : 0);
   }
 
- private:
+  /// One stripe per cache line; all-zero bytes = unlocked at version 0.
   struct alignas(util::cache_line_size) entry {
     vt::stamped_atomic<word> lock;
   };
+
+ private:
   std::size_t mask_;
-  std::unique_ptr<entry[]> entries_;
+  util::zeroed_array<entry> entries_;  // committed on first touch (§4.1)
 };
 
 class tl2_runtime;

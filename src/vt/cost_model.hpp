@@ -53,4 +53,8 @@ struct cost_model {
   static cost_model zero();
 };
 
+/// What the SwissTM and TL2 baselines charge. Their configs carry no cost
+/// model: no caller ever priced a baseline differently (DESIGN.md §13).
+inline constexpr cost_model baseline_costs{};
+
 }  // namespace tlstm::vt
